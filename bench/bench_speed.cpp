@@ -1,13 +1,12 @@
 // bench_speed — end-to-end simulation speed benchmark (BENCH_speed.json).
 //
-// Runs the base + redhip columns over the full workload list on three
-// engines — fast (batched traces, specialized run loops, heap scheduler),
-// reference (the original scalar loop, kept as the bit-identical oracle)
-// and parallel (the bound-weave engine, src/sim/parallel.cc) — and reports
-// per-run and aggregate host throughput in simulated Mrefs/s.  Every
-// (workload, column) cell is checked for statistically identical results
-// across all engines, so a speed number is only ever reported for a
-// correct engine.
+// Runs the base + redhip columns over the full workload list on both
+// engines — fast (batched traces, specialized run loops, heap scheduler)
+// and reference (the original scalar loop, kept as the bit-identical
+// oracle) — and reports per-run and aggregate host throughput in simulated
+// Mrefs/s.  Every (workload, column) cell is checked for statistically
+// identical results across the engines, so a speed number is only ever
+// reported for a correct engine.
 //
 // `--repeat=N` measures each engine N times and reports best-of-N (the
 // headline `matrix_wall_seconds`: least-interference estimate) alongside
@@ -28,14 +27,14 @@
 // (scripts/bench_speed.sh fills both; the compiler version itself is baked
 // in at build time).
 //
-// A fourth leg re-measures the fast engine with periodic checkpointing on
+// A third leg re-measures the fast engine with periodic checkpointing on
 // (src/ckpt, interval from --ckpt-interval) and reports the crash-safety
 // tax as `ckpt.overhead_pct`, budgeted at <= 2%: the fraction of the run's
 // own process-CPU time spent inside save_checkpoint (which self-times).
 // Checkpointing must not change a single statistic, so the leg is also
 // checked cell-by-cell against the uninstrumented fast run.
 //
-// A fifth, opt-in leg (--sampled-refs=N) measures SMARTS-style interval
+// A fourth, opt-in leg (--sampled-refs=N) measures SMARTS-style interval
 // sampling: one long exact fast-engine run against the same spec sampled
 // (--sampled-bench/-period/-window/-warmup/-warm-mode), reported as
 // `sampling` in the JSON.  The sampled run's 95% CIs must cover the exact
@@ -53,10 +52,10 @@
 // wall-clock ratio is gated by --sampled-min-resumed-speedup.
 //
 // Usage: bench_speed [--scale=8] [--refs=1000000] [--seed=42] [--jobs=N]
-//                    [--threads=N] [--repeat=N] [--out=BENCH_speed.json]
+//                    [--repeat=N] [--out=BENCH_speed.json]
 //                    [--cpu-model=TEXT] [--compiler-flags=TEXT]
 //                    [--pre-pr-wall=SECONDS] [--pre-pr-note=TEXT]
-//                    [--skip-reference] [--skip-parallel] [--skip-ckpt]
+//                    [--skip-reference] [--skip-ckpt]
 //                    [--ckpt-interval=REFS] [--ckpt-budget-pct=2.0]
 //                    [--sampled-refs=N] [--sampled-bench=mcf]
 //                    [--sampled-period=N] [--sampled-window=N]
@@ -219,7 +218,6 @@ int main(int argc, char** argv) {
   const double pre_pr_wall = cli.get_double("pre-pr-wall", 0.0);
   const std::string pre_pr_note = cli.get("pre-pr-note", "");
   const bool skip_reference = cli.get_bool("skip-reference", false);
-  const bool skip_parallel = cli.get_bool("skip-parallel", false);
   const bool skip_ckpt = cli.get_bool("skip-ckpt", false);
   // Default: one mid-run save per 8M-ref bench cell (the previous 4M
   // default fired twice per cell and recorded 3.33% under the old paired
@@ -263,22 +261,8 @@ int main(int argc, char** argv) {
     if (!check_identical(opts, columns, fast, ref, "fast", "reference")) {
       return 1;
     }
-  }
-
-  EngineLeg par;
-  if (!skip_parallel) {
-    par = measure(opts, SimEngine::kParallel, columns, repeat,
-                  "parallel engine:");
-    if (!check_identical(opts, columns, fast, par, "fast", "parallel")) {
-      return 1;
-    }
-  }
-  if (!skip_reference || !skip_parallel) {
-    std::size_t engines = 1;
-    if (!skip_reference) ++engines;
-    if (!skip_parallel) ++engines;
-    std::printf("engines bit-identical across all %zu runs (%zu engines)\n",
-                opts.benches.size() * columns.size(), engines);
+    std::printf("engines bit-identical across all %zu runs\n",
+                opts.benches.size() * columns.size());
   }
 
   // Crash-safety tax: the fast engine again, now writing a checkpoint every
@@ -551,11 +535,11 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof(buf),
                 "    \"scale\": %u,\n    \"refs_per_core\": %llu,\n"
                 "    \"seed\": %llu,\n    \"jobs\": %zu,\n"
-                "    \"threads\": %u,\n    \"repeat\": %u,\n",
+                "    \"repeat\": %u,\n",
                 opts.scale,
                 static_cast<unsigned long long>(opts.refs_per_core),
                 static_cast<unsigned long long>(opts.seed), opts.jobs,
-                opts.threads, repeat);
+                repeat);
   os << buf;
   // Host metadata: the committed BENCH_speed.json must name the machine and
   // toolchain behind its numbers, or the numbers are unreproducible trivia.
@@ -567,7 +551,6 @@ int main(int argc, char** argv) {
      << "\",\n";
   os << "    \"engines\": [\"fast\"";
   if (!skip_reference) os << ", \"reference\"";
-  if (!skip_parallel) os << ", \"parallel\"";
   os << "],\n";
   os << "    \"columns\": [";
   for (std::size_t c = 0; c < columns.size(); ++c) {
@@ -585,16 +568,6 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf), ",\n  \"speedup_vs_reference\": %.3f",
                   fast.best().wall_seconds > 0.0
                       ? ref.best().wall_seconds / fast.best().wall_seconds
-                      : 0.0);
-    os << buf;
-  }
-  if (!skip_parallel) {
-    os << ",\n";
-    append_engine_block(os, "parallel_engine", opts, columns, par);
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  \"parallel_speedup_vs_fast\": %.3f",
-                  par.best().wall_seconds > 0.0
-                      ? fast.best().wall_seconds / par.best().wall_seconds
                       : 0.0);
     os << buf;
   }
@@ -635,10 +608,6 @@ int main(int argc, char** argv) {
   if (pre_pr_wall > 0.0 && fast.best().wall_seconds > 0.0) {
     std::printf("speedup vs pre-PR engine: %.2fx\n",
                 pre_pr_wall / fast.best().wall_seconds);
-  }
-  if (!skip_parallel && par.best().wall_seconds > 0.0) {
-    std::printf("parallel speedup vs fast: %.2fx\n",
-                fast.best().wall_seconds / par.best().wall_seconds);
   }
   return 0;
 }

@@ -10,7 +10,7 @@
 // that scripts/plot_epochs.py renders; see DESIGN.md "Observability".
 //
 //   ./quickstart [--scale 8] [--refs 200000] [--bench mcf]
-//                [--engine fast|reference|parallel] [--threads N]
+//                [--engine fast|reference]
 //                [--trace-events redhip-events.jsonl] [--json report.json]
 //                [--ckpt-file run.ckpt] [--ckpt-interval N] [--ckpt-restore]
 //                [--sample-mode interval --sample-period N
@@ -27,8 +27,7 @@
 //
 // --json writes the ReDHiP run's full json_report to a file.  Engines are
 // bit-identical, so the document (and the event trace) must compare equal
-// byte for byte across --engine values — CI's parallel smoke job runs
-// exactly that cmp.
+// byte for byte across --engine values.
 //
 // --ckpt-file makes the ReDHiP run crash-safe: SIGTERM/SIGINT checkpoint
 // at the next safe boundary and exit with code 75; --ckpt-interval N also
@@ -59,7 +58,6 @@ int main(int argc, char** argv) {
   const std::string bench_name = opts.get("bench", "mcf");
   const std::string trace_events = opts.get("trace-events", "");
   const std::string json_path = opts.get("json", "");
-  const std::string engine = opts.get("engine", "fast");
   const std::string ckpt_file = opts.get("ckpt-file", "");
   const std::uint64_t ckpt_interval = opts.get_uint64("ckpt-interval", 0);
   const bool ckpt_restore = opts.get_bool("ckpt-restore", false);
@@ -109,16 +107,7 @@ int main(int argc, char** argv) {
   spec.bench = bench;
   spec.scale = scale;
   spec.refs_per_core = refs;
-  if (engine == "fast") {
-    spec.engine = SimEngine::kFast;
-  } else if (engine == "reference") {
-    spec.engine = SimEngine::kReference;
-  } else if (engine == "parallel") {
-    spec.engine = SimEngine::kParallel;
-  } else {
-    REDHIP_CHECK_MSG(false, "unknown engine: " + engine);
-  }
-  spec.threads = static_cast<std::uint32_t>(opts.get_int("threads", 0));
+  spec.engine = parse_engine(opts.get("engine", "fast")).value();
   spec.sampling = sampling;  // both legs sampled, so the comparison is like
                              // for like
 

@@ -86,7 +86,7 @@ def main():
         lines.append("")
 
     warn = None
-    for engine in ("fast_engine", "reference_engine", "parallel_engine"):
+    for engine in ("fast_engine", "reference_engine"):
         bblock, brows = engine_rows(base, engine)
         cblock, crows = engine_rows(cur, engine)
         if cblock is None and bblock is None:

@@ -2,7 +2,7 @@
 # Profile the fast engine's per-reference critical path and print a
 # top-symbols table.
 #
-# Drives `bench_speed` fast-engine-only (reference/parallel/ckpt legs
+# Drives `bench_speed` fast-engine-only (reference/ckpt legs
 # skipped — they would pollute the profile with code the fast path never
 # runs) over the full workload matrix at a reduced ref count, then reports
 # where the host cycles went:
@@ -62,8 +62,8 @@ if [[ "$sampled" == 1 ]]; then
 else
   target=bench_speed
   binary=bench/bench_speed
-  run_args=(--refs=400000 --scale=8 --skip-reference --skip-parallel
-            --skip-ckpt --out="$BUILD_DIR/profile-bench.json")
+  run_args=(--refs=400000 --scale=8 --skip-reference --skip-ckpt
+            --out="$BUILD_DIR/profile-bench.json")
 fi
 run_args+=(${fwd_user[@]+"${fwd_user[@]}"})
 

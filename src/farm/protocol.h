@@ -45,7 +45,6 @@ struct FarmJob {
   std::uint64_t refs_per_core = 0;
   bool prefetch = false;
   std::uint64_t seed = 0;
-  std::uint32_t threads = 0;
   SamplingPlan sampling;
   // Per-cell wall-clock budget; the worker starts the clock when the cell
   // begins executing (never charging queue or network wait).
@@ -57,6 +56,9 @@ struct FarmJob {
   std::vector<std::string> axis_specs;
 };
 
+// deserialize_job (and decode_welcome) return DATA_LOSS for a truncated
+// payload or an enum byte (scheme, inclusion, engine, sampling mode) past
+// its type's last value.
 std::string serialize_job(const FarmJob& job);
 Result<FarmJob> deserialize_job(const std::string& payload);
 

@@ -7,7 +7,7 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "harness/thread_pool.h"
+#include "common/thread_pool.h"
 
 namespace redhip {
 
@@ -18,17 +18,7 @@ ExperimentOptions ExperimentOptions::parse(const CliOptions& cli) {
   o.seed = cli.get_uint64("seed", 42);
   o.csv = cli.get_bool("csv", false);
   o.jobs = static_cast<std::size_t>(cli.get_int("jobs", 0));
-  const std::string engine = cli.get("engine", "fast");
-  if (engine == "fast") {
-    o.engine = SimEngine::kFast;
-  } else if (engine == "reference") {
-    o.engine = SimEngine::kReference;
-  } else if (engine == "parallel") {
-    o.engine = SimEngine::kParallel;
-  } else {
-    REDHIP_CHECK_MSG(false, "unknown engine: " + engine);
-  }
-  o.threads = static_cast<std::uint32_t>(cli.get_int("threads", 0));
+  o.engine = parse_engine(cli.get("engine", "fast")).value();
   o.trace_events = cli.get("trace-events", "");
   o.obs_epoch_refs = cli.get_uint64("obs-epoch", 100'000);
   o.cache_dir = cli.get("cache-dir", "");
@@ -184,7 +174,6 @@ std::vector<std::vector<SimResult>> run_matrix(
       spec.refs_per_core = opts.refs_per_core;
       spec.seed = opts.seed;
       spec.engine = opts.engine;
-      spec.threads = opts.threads;
       spec.sampling = opts.sampling;
       // A run aborted by the invariant auditor under a *transient*
       // injected fault (RecoveryPolicy::kAbortRetry) is retried a bounded

@@ -13,9 +13,17 @@ std::string engine_name(SimEngine e) {
   switch (e) {
     case SimEngine::kFast: return "fast";
     case SimEngine::kReference: return "reference";
-    case SimEngine::kParallel: return "parallel";
   }
   return "unknown";
+}
+
+Result<SimEngine> parse_engine(std::string_view name) {
+  for (SimEngine e : {SimEngine::kFast, SimEngine::kReference}) {
+    if (name == engine_name(e)) return e;
+  }
+  return Status(StatusCode::kInvalidArgument,
+                "--engine=" + std::string(name) +
+                    ": expected fast|reference");
 }
 
 std::string window_snapshot_path(const std::string& ckpt_path,
@@ -195,12 +203,6 @@ SimResult run_spec(const RunSpec& spec) {
     case SimEngine::kReference:
       r = sim->run_reference(spec.refs_per_core);
       break;
-    case SimEngine::kParallel: {
-      ParallelOptions po;
-      po.threads = spec.threads;
-      r = sim->run_parallel(spec.refs_per_core, po);
-      break;
-    }
   }
   r.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

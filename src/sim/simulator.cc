@@ -319,11 +319,6 @@ void MulticoreSimulator::back_invalidate_all_cores(std::uint32_t below_level,
 template <bool kWarm>
 void MulticoreSimulator::back_invalidate_core(std::uint32_t below_level,
                                               CoreId core, LineAddr victim) {
-  // Parallel engine: `core`'s lane may have speculated references past this
-  // event's cycle that hit `victim` in its L1 — those hits are wrong the
-  // moment the invalidation lands, so the lane is rolled back first (see
-  // src/sim/parallel.cc).  Null outside the speculative weave.
-  if (par_lanes_ != nullptr) par_note_back_invalidate(core, victim);
   // The L1 memo's residency guarantee ends here: this is the only path
   // that removes an L1 line outside the owning core's own access.
   if (cores_[core].l1_last_line == victim) {

@@ -86,6 +86,24 @@ TEST(CliParse, EngineSelection) {
             SimEngine::kReference);
 }
 
+TEST(CliParse, UnknownEngineNamesTheAcceptedValues) {
+  for (const char* bad : {"parallel", "", "Fast"}) {
+    const Result<SimEngine> r = parse_engine(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(r.status().message().find("fast|reference"), std::string::npos)
+        << r.status().message();
+  }
+  try {
+    ExperimentOptions::parse(make_cli({"--engine=parallel"}));
+    FAIL() << "--engine=parallel must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("INVALID_ARGUMENT: --engine=parallel"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CliParse, NegativeUnsignedIsRejectedNotWrapped) {
   // std::stoull would parse "-1" as 2^64-1; that must be a usage error.
   const auto cli = make_cli({"--refs=-1"});

@@ -83,7 +83,6 @@ void expect_caches_identical(const fs::path& a, const fs::path& b) {
 TEST(FarmProtocol, JobRoundTripsEveryField) {
   FarmJob job = tiny_job();
   job.prefetch = true;
-  job.threads = 3;
   job.cell_timeout = 12.5;
   job.sampling.mode = SampleMode::kInterval;
   job.sampling.period_refs = 1'000;
@@ -101,7 +100,6 @@ TEST(FarmProtocol, JobRoundTripsEveryField) {
   EXPECT_EQ(out.refs_per_core, job.refs_per_core);
   EXPECT_EQ(out.prefetch, job.prefetch);
   EXPECT_EQ(out.seed, job.seed);
-  EXPECT_EQ(out.threads, job.threads);
   EXPECT_EQ(out.sampling.mode, job.sampling.mode);
   EXPECT_EQ(out.sampling.period_refs, job.sampling.period_refs);
   EXPECT_EQ(out.cell_timeout, job.cell_timeout);
@@ -118,6 +116,27 @@ TEST(FarmProtocol, MalformedPayloadsAreDataLoss) {
   EXPECT_EQ(decode_welcome("nope").status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(decode_assign("x").status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(decode_result("").status().code(), StatusCode::kDataLoss);
+}
+
+TEST(FarmProtocol, OutOfRangeEnumBytesAreDataLoss) {
+  // Each byte is one past its type's last value: a job from a build with a
+  // different enum list (or a flipped bit) must be refused, not run as an
+  // empty result.
+  FarmJob engine = tiny_job();
+  engine.engine = 2;
+  FarmJob scheme = tiny_job();
+  scheme.scheme = static_cast<std::uint8_t>(Scheme::kPartialTag) + 1;
+  FarmJob inclusion = tiny_job();
+  inclusion.inclusion =
+      static_cast<std::uint8_t>(InclusionPolicy::kExclusive) + 1;
+  FarmJob mode = tiny_job();
+  mode.sampling.mode = static_cast<SampleMode>(2);
+  for (const FarmJob& bad : {engine, scheme, inclusion, mode}) {
+    const Result<FarmJob> r = deserialize_job(serialize_job(bad));
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(decode_welcome(encode_welcome(bad, 1, 0)).status().code(),
+              StatusCode::kDataLoss);
+  }
 }
 
 TEST(FarmProtocol, ExpansionIsReproducibleAcrossRebuilds) {
@@ -227,7 +246,9 @@ TEST_F(FarmTest, SigkilledWorkerOnlyCostsARelease) {
   }
   EXPECT_GE(rep.releases, 1u);  // the killed worker's cell was re-queued
   for (const WorkerProgress& w : rep.workers) {
-    if (w.name == "local-0") EXPECT_EQ(w.completed, 0u);
+    if (w.name == "local-0") {
+      EXPECT_EQ(w.completed, 0u);
+    }
   }
   // The survivors finished everything, and the merged cache is exactly
   // what an undisturbed single-process sweep writes.

@@ -148,6 +148,7 @@ TEST(SweepExecutor, MatchesRunMatrixBitForBit) {
   ExperimentOptions opts;
   opts.scale = 32;
   opts.refs_per_core = 2'000;
+  opts.jobs = 4;  // concurrent cells on any host (CI's TSan job relies on it)
   opts.benches = {BenchmarkId::kMcf, BenchmarkId::kAstar};
   std::vector<SchemeColumn> columns = {{"Base", Scheme::kBase}};
   SchemeColumn red;

@@ -222,32 +222,24 @@ TEST(WarmEngine, EquivalentToFullFidelityWarmingAcrossFeatureMasks) {
 }
 
 TEST(WarmEngine, EquivalentAcrossEngines) {
-  // One predictor-rich mask, all three engines: the warm loop is shared by
-  // run/run_reference/run_parallel through run_sampled, so each engine's
+  // One predictor-rich mask, both engines: the warm loop is shared by
+  // run/run_reference through run_sampled, so each engine's
   // sampled report must be warm/full-invariant (and engines must agree
   // with each other, which engine_equivalence_test pins for exact runs).
   RunSpec spec = base_spec();
   spec.prefetch = true;
 
-  for (int engine = 0; engine < 3; ++engine) {
-    const char* name = engine == 0 ? "fast" : engine == 1 ? "ref" : "par";
+  for (int engine = 0; engine < 2; ++engine) {
+    const char* name = engine == 0 ? "fast" : "ref";
     SimResult results[2];
     std::unique_ptr<MulticoreSimulator> sims[2];
     for (int mode = 0; mode < 2; ++mode) {
       spec.sampling.warm_mode =
           mode == 0 ? SampleWarmMode::kWarm : SampleWarmMode::kFull;
       sims[mode] = build_sim(spec);
-      switch (engine) {
-        case 0:
-          results[mode] = sims[mode]->run(spec.refs_per_core);
-          break;
-        case 1:
-          results[mode] = sims[mode]->run_reference(spec.refs_per_core);
-          break;
-        default:
-          results[mode] = sims[mode]->run_parallel(spec.refs_per_core, {});
-          break;
-      }
+      results[mode] = engine == 0
+                          ? sims[mode]->run(spec.refs_per_core)
+                          : sims[mode]->run_reference(spec.refs_per_core);
     }
     expect_windows_identical(results[0].sampling, results[1].sampling, name);
     expect_state_identical(*sims[0], *sims[1], name);
