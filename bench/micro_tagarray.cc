@@ -1,6 +1,6 @@
 // micro_tagarray — google-benchmark suite for the structures the fast
 // engine's per-reference critical path lives in: the SoA TagArray (partial
-// tag lane scan + packed-entry verify + embedded-LRU promote) and the
+// tag lane scan + packed-entry verify + rank-row LRU promote) and the
 // counting Bloom filter's probe.  Each benchmark isolates one hot operation
 // so a layout or indexing change shows up as a per-op delta instead of
 // being smeared across an end-to-end run (bench_speed measures that).
@@ -75,8 +75,8 @@ void BM_TagArrayLookupMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_TagArrayLookupMiss)->Arg(8)->Arg(16);
 
-// Promote-only: repeated hits on a tiny working set, so the embedded-LRU
-// rank rotation dominates over the tag match.
+// Promote-only: repeated hits on a tiny working set, so the rank-row LRU
+// rotation dominates over the tag match.
 void BM_TagArrayPromote(benchmark::State& state) {
   TagArray arr = make_full_array(16);
   std::vector<LineAddr> hot;
@@ -91,7 +91,7 @@ void BM_TagArrayPromote(benchmark::State& state) {
 BENCHMARK(BM_TagArrayPromote);
 
 // Fill/evict steady state: every fill_if_absent on a full array either
-// verifies residency or picks the embedded-LRU victim and overwrites —
+// verifies residency or picks the rank-row LRU victim and overwrites —
 // the back-invalidation-heavy benches spend their time here.
 void BM_TagArrayFillEvict(benchmark::State& state) {
   TagArray arr = make_full_array(16);

@@ -7,27 +7,28 @@
 // TagArray reports *events*, it does not price them.
 //
 // Storage is structure-of-arrays (SoA).  The authoritative state is the
-// packed 64-bit entry per way (tag + flags + embedded LRU rank, see below);
-// alongside it every way carries a 16-bit *partial tag* in a dense per-set
-// lane.  A probe first scans the lane — 16 bytes for an 8-way set, one host
-// cache line for anything up to 32 ways — and only touches the 8-byte
-// entries of lanes whose partial tag matched.  The common deep-hierarchy
-// *miss* (the exact case ReDHiP exists to skip in hardware) therefore costs
-// one dense 16-byte load instead of a 64-byte entry sweep, and the AVX-512
-// path compares a whole set in a single 16-bit-lane vector op.  The lane is
-// derived state: every mutation that changes residency rewrites it, and
-// checkpoint restore rebuilds it from the entries.
+// packed 64-bit entry per way (tag + flags) plus, for LRU with <= 16 ways
+// (the paper machine), a packed per-set *rank row*: one byte per way, so one
+// word for <= 8 ways and two for <= 16.  Alongside them every way carries a
+// 16-bit *partial tag* in a dense per-set lane, four lanes per 64-bit word.
+// A set's lane words and rank row share one cache-line-aligned block, so a
+// <= 16-way set's whole replacement and probe sideband is one host cache
+// line.  A probe touches the 8-byte entry only of a lane whose partial tag
+// matched, so the common deep-hierarchy *miss* (the exact case ReDHiP
+// exists to skip in hardware) costs a few word compares instead of a
+// 64-byte entry sweep.  The LRU promote and victim pick are word-wide bit
+// tricks on the rank row (SWAR), with no per-way branch.  Lanes and rank
+// bytes are addressed by shifts within a word, so the layout is the same
+// on either host byte order.  The lane is derived state: every mutation
+// that changes residency rewrites it, and checkpoint restore rebuilds it
+// from the entries.
 #pragma once
 
-#include <cstdint>
 #include <bit>
+#include <cstdint>
 #include <functional>
-#include <optional>
+#include <memory>
 #include <vector>
-
-#if defined(__AVX512F__)
-#include <immintrin.h>
-#endif
 
 #include "cache/geometry.h"
 #include "common/types.h"
@@ -94,16 +95,16 @@ class TagArray {
   // non-null, reports whether the removed copy needed a writeback.
   bool invalidate(LineAddr line, bool* was_dirty = nullptr);
 
-  // Hint that `line`'s set is about to be probed: pull its partial-tag lane
-  // (what a miss touches) and entry words (what a hit touches) toward the
-  // host caches.  Pure performance hint — no simulated state changes, so the
-  // fast engine's software pipeline may issue it speculatively without
-  // affecting bit-identity with the reference engine.
+  // Hint that `line`'s set is about to be probed: pull its lane and rank
+  // block (what a miss touches) and entry words (what a hit or fill
+  // touches) toward the host caches.  Pure performance hint — no simulated
+  // state changes, so the fast engine's software pipeline may issue it
+  // speculatively without affecting bit-identity with the reference engine.
   void prefetch_line(LineAddr line) const {
 #if defined(__GNUC__) || defined(__clang__)
-    const std::uint64_t i = (line & set_mask_) * geom_.ways;
-    __builtin_prefetch(&ptags_[i], 0, 3);
-    __builtin_prefetch(&entries_[i], 0, 2);
+    const std::uint64_t set = line & set_mask_;
+    __builtin_prefetch(block(set), 0, 3);
+    __builtin_prefetch(set_begin(set), 0, 2);
 #else
     (void)line;
 #endif
@@ -140,54 +141,49 @@ class TagArray {
   // (receiving a writeback is not a use).  Returns false if absent.
   bool mark_dirty(LineAddr line);
 
-  // Whether every piece of per-set state lives inside the packed entries
-  // (LRU with <= 16 ways, the paper machine's configuration).  Policies with
-  // side state (tree-PLRU, NRU, the random policy's RNG) are not
+  // Whether the entries plus rank rows are the whole per-set state (LRU
+  // with <= 16 ways, the paper machine's configuration).  Policies with
+  // side state (tree-PLRU, NRU, wide LRU, the random policy's RNG) are not
   // self-contained, so ckpt_entries() below is not their complete state.
   bool state_is_self_contained() const { return embedded_lru_; }
 
-  // Whole-array snapshot for checkpoint/restore: the packed entries are the
+  // Whole-array snapshot for checkpoint/restore, one word per way: the
+  // entry with the way's LRU rank in bits 60..63 (the checkpoint format
+  // predates the rank rows and is kept byte for byte).  It is the
   // *complete* state only when state_is_self_contained() (src/ckpt refuses
-  // to checkpoint otherwise).  Restore recounts the valid-line tally from
-  // the valid bits rather than trusting the caller, and rebuilds the
-  // derived partial-tag lanes.
-  const std::vector<std::uint64_t>& ckpt_entries() const { return entries_; }
-  bool ckpt_restore_entries(const std::vector<std::uint64_t>& entries) {
-    if (entries.size() != entries_.size()) return false;
-    entries_ = entries;
-    valid_count_ = 0;
-    for (std::uint64_t e : entries_) valid_count_ += e & kValidBit;
-    for (std::uint64_t s = 0; s < sets_; ++s) rebuild_lane(s);
-    return true;
-  }
+  // to checkpoint otherwise).  Restore rejects a payload of the wrong size
+  // or whose per-set ranks are not a permutation of 0..ways-1 (nonzero
+  // ranks, for arrays without embedded LRU), recounts the valid lines from
+  // the valid bits, and rebuilds the derived partial-tag lanes.
+  std::vector<std::uint64_t> ckpt_entries() const;
+  bool ckpt_restore_entries(const std::vector<std::uint64_t>& entries);
 
  private:
   // One way, packed into a single word: bit 0 valid, bit 1 prefetched,
-  // bit 2 dirty, bits 3..59 the tag, bits 60..63 the line's LRU rank (only
-  // used when the policy is LRU with <= 16 ways — see `embedded_lru_`).  A
-  // tag fits 57 bits: with >= 64B lines that covers byte addresses past
-  // 2^63, so the shift never overflows in practice.
+  // bit 2 dirty, bits 3..59 the tag; bits 60..63 stay zero so the
+  // checkpoint can carry the LRU rank there.  A tag fits 57 bits: with
+  // >= 64B lines that covers byte addresses past 2^63, so the shift never
+  // overflows in practice.
   using Entry = std::uint64_t;
   static constexpr Entry kValidBit = 1;
   static constexpr Entry kPrefetchedBit = 2;
   static constexpr Entry kDirtyBit = 4;
   static constexpr std::uint32_t kRankShift = 60;
-  static constexpr Entry kRankMask = Entry{0xF} << kRankShift;
-  static constexpr Entry kRankInc = Entry{1} << kRankShift;
-  // Clearing the don't-care bits (flags + rank) leaves `(tag << 3) | valid`
-  // — one mask + compare decides "valid match" for the whole entry.  For
-  // policies that keep their state outside the entry the rank nibble is
-  // always zero, so the same mask is correct everywhere.
-  static constexpr Entry kMatchMask =
-      ~(kPrefetchedBit | kDirtyBit | kRankMask);
+  // Clearing the don't-care flags leaves `(tag << 3) | valid` — one mask +
+  // compare decides "valid match" for the whole entry.
+  static constexpr Entry kMatchMask = ~(kPrefetchedBit | kDirtyBit);
 
-  // The dense per-way sideband: bit 15 is the valid bit (a lane word is
-  // zero exactly when the way is invalid), bits 0..14 an xor-fold of the
-  // full tag.  The fold covers every tag bit, so two tags that collide in
-  // the lane are rare regardless of the access stride — and a collision
-  // only costs one extra entry-word verify, never correctness.
+  // The dense per-way sideband: bit 15 is the valid bit (a lane is zero
+  // exactly when the way is invalid), bits 0..14 an xor-fold of the full
+  // tag.  The fold covers every tag bit, so two tags that collide in the
+  // lane are rare regardless of the access stride — and a collision only
+  // costs one extra entry-word verify, never correctness.  Way w's lane is
+  // bits [16 * (w % 4), +16) of lane word w / 4; lanes past the last way
+  // hold kPTagPad, which is neither zero (so never an invalid way) nor
+  // valid (so never a match).
   using PTag = std::uint16_t;
   static constexpr PTag kPTagValidBit = PTag{1} << 15;
+  static constexpr PTag kPTagPad = 1;
   static constexpr std::uint32_t kNoWay = ~0u;
 
   static PTag ptag_of(std::uint64_t tag) {
@@ -195,121 +191,70 @@ class TagArray {
     return static_cast<PTag>((h & 0x7FFF) | kPTagValidBit);
   }
 
-#if defined(__AVX512F__) && defined(__AVX512BW__)
-  // Bitmask (lane i -> bit i) of the n <= 64 lane words equal to `pwant`:
-  // a 32-way block is one masked 16-bit-lane compare.
-  static std::uint64_t lane_eq_mask(const PTag* lane, std::uint32_t n,
-                                    PTag pwant) {
-    std::uint64_t bits = 0;
-    const __m512i vwant = _mm512_set1_epi16(static_cast<short>(pwant));
-    for (std::uint32_t base = 0; base < n; base += 32) {
-      const std::uint32_t k = n - base;
-      const __mmask32 lanes = k >= 32 ? static_cast<__mmask32>(~0u)
-                                      : static_cast<__mmask32>((1u << k) - 1);
-      const __m512i v = _mm512_maskz_loadu_epi16(lanes, lane + base);
-      bits |= static_cast<std::uint64_t>(
-                  _mm512_mask_cmpeq_epi16_mask(lanes, v, vwant))
-              << base;
-    }
-    return bits;
+  // --- Word-wide (SWAR) helpers -------------------------------------------
+  // Per-byte and per-halfword ones, and the per-byte top bits.
+  static constexpr std::uint64_t kBytes1 = 0x0101010101010101ull;
+  static constexpr std::uint64_t kBytesTop = 0x8080808080808080ull;
+  static constexpr std::uint64_t kLanes1 = 0x0001000100010001ull;
+  static constexpr std::uint64_t kLanesLow = 0x7FFF7FFF7FFF7FFFull;
+  // Exact zero-field detection: with `low` the mask of every field's bits
+  // but its top one, the top bit of each field of the result is set iff
+  // that field of `x` is zero.  Adding within `low` never carries out of a
+  // field, so every flag is exact, not only the lowest.
+  static std::uint64_t zero_fields(std::uint64_t x, std::uint64_t low) {
+    return ~(((x & low) + low) | x | low);
   }
-#endif
 
   // Way index of the valid resident copy of the line with partial tag
-  // `pwant` and masked entry `want`, or kNoWay.  The lane scan yields
-  // candidate ways; each candidate is verified against its packed entry in
-  // way order.  Tags are unique within a set (fills check absence first),
-  // so at most one candidate verifies and the result equals the old
+  // `pwant` and masked entry `want`, or kNoWay; also, when `inv` is
+  // non-null, the set's first invalid way (lane zero) or kNoWay in `*inv`
+  // (meaningful only when the line is absent).  Each lane word yields its
+  // candidate ways at once; each candidate is verified against its packed
+  // entry in way order.  Tags are unique within a set (fills check absence
+  // first), so at most one candidate verifies and the result equals a
   // full-entry scan's lowest-way match.  A definite miss (no lane match)
-  // never touches the entries at all.  The portable fallback keeps the old
-  // sweep's early exit — the common hit leaves after MRU-ish few ways — but
-  // compares 2-byte lane words and only dereferences an entry on a lane
-  // match.
-  std::uint32_t match_way(const Entry* e, const PTag* lane, Entry want,
-                          PTag pwant) const {
-#if defined(__AVX512F__) && defined(__AVX512BW__)
-    for (std::uint32_t base = 0; base < geom_.ways; base += 64) {
-      const std::uint32_t n =
-          geom_.ways - base >= 64 ? 64 : geom_.ways - base;
-      std::uint64_t m = lane_eq_mask(lane + base, n, pwant);
-      while (m != 0) {
-        const std::uint32_t w =
-            base + static_cast<std::uint32_t>(std::countr_zero(m));
-        if ((e[w] & kMatchMask) == want) return w;
-        m &= m - 1;
-      }
-    }
-#else
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      if (lane[w] == pwant && (e[w] & kMatchMask) == want) return w;
-    }
-#endif
-    return kNoWay;
-  }
-
-  // First invalid way of the set (lane word zero <=> way invalid), or
-  // kNoWay when the set is full.  Reproduces the old entry sweep's
-  // first-invalid-way choice from the lane alone.
-  std::uint32_t first_invalid_way(const PTag* lane) const {
-#if defined(__AVX512F__) && defined(__AVX512BW__)
-    for (std::uint32_t base = 0; base < geom_.ways; base += 64) {
-      const std::uint32_t n =
-          geom_.ways - base >= 64 ? 64 : geom_.ways - base;
-      const std::uint64_t m = lane_eq_mask(lane + base, n, PTag{0});
-      if (m != 0) {
-        return base + static_cast<std::uint32_t>(std::countr_zero(m));
-      }
-    }
-#else
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      if (lane[w] == 0) return w;
-    }
-#endif
-    return kNoWay;
-  }
-
-  // Fused resident-probe + first-invalid-way in one set scan (the fill
-  // paths need both).  Returns the resident way (in which case `*inv` is
-  // meaningless — the caller never fills) or kNoWay with `*inv` the first
-  // invalid way / kNoWay.  Same way-order semantics as calling match_way
-  // then first_invalid_way.
-  std::uint32_t probe_or_invalid(const Entry* e, const PTag* lane,
-                                 Entry want, PTag pwant,
-                                 std::uint32_t* inv) const {
+  // never touches the entries at all.
+  std::uint32_t probe(const Entry* e, const std::uint64_t* lanes, Entry want,
+                      PTag pwant, std::uint32_t* inv) const {
+    const std::uint64_t bcast = pwant * kLanes1;
     std::uint32_t inv_w = kNoWay;
-#if defined(__AVX512F__) && defined(__AVX512BW__)
-    for (std::uint32_t base = 0; base < geom_.ways; base += 64) {
-      const std::uint32_t n =
-          geom_.ways - base >= 64 ? 64 : geom_.ways - base;
-      std::uint64_t m = lane_eq_mask(lane + base, n, pwant);
-      while (m != 0) {
-        const std::uint32_t w =
-            base + static_cast<std::uint32_t>(std::countr_zero(m));
+    for (std::uint32_t i = 0; i < lane_words_; ++i) {
+      for (std::uint64_t m = zero_fields(lanes[i] ^ bcast, kLanesLow);
+           m != 0; m &= m - 1) {
+        const std::uint32_t w = 4 * i + std::countr_zero(m) / 16;
         if ((e[w] & kMatchMask) == want) return w;
-        m &= m - 1;
       }
-      if (inv_w == kNoWay) {
-        const std::uint64_t z = lane_eq_mask(lane + base, n, PTag{0});
-        if (z != 0) {
-          inv_w = base + static_cast<std::uint32_t>(std::countr_zero(z));
-        }
+      if (inv != nullptr && inv_w == kNoWay) {
+        const std::uint64_t z = zero_fields(lanes[i], kLanesLow);
+        if (z != 0) inv_w = 4 * i + std::countr_zero(z) / 16;
       }
     }
-#else
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      if (lane[w] == pwant && (e[w] & kMatchMask) == want) return w;
-      if (inv_w == kNoWay && lane[w] == 0) inv_w = w;
-    }
-#endif
-    *inv = inv_w;
+    if (inv != nullptr) *inv = inv_w;
     return kNoWay;
+  }
+  std::uint32_t match_way(const Entry* e, const std::uint64_t* lanes,
+                          Entry want, PTag pwant) const {
+    return probe(e, lanes, want, pwant, nullptr);
+  }
+  std::uint32_t first_invalid_way(const std::uint64_t* lanes) const {
+    for (std::uint32_t i = 0; i < lane_words_; ++i) {
+      const std::uint64_t z = zero_fields(lanes[i], kLanesLow);
+      if (z != 0) return 4 * i + std::countr_zero(z) / 16;
+    }
+    return kNoWay;
+  }
+  static void set_lane(std::uint64_t* lanes, std::uint32_t way, PTag ptag) {
+    std::uint64_t& word = lanes[way / 4];
+    const std::uint32_t shift = 16 * (way % 4);
+    word = (word & ~(std::uint64_t{0xFFFF} << shift)) |
+           (std::uint64_t{ptag} << shift);
   }
 
   static Entry pack(std::uint64_t tag, bool prefetched, bool dirty) {
     return (tag << 3) | (prefetched ? kPrefetchedBit : 0) |
            (dirty ? kDirtyBit : 0) | kValidBit;
   }
-  static std::uint64_t tag_of_entry(Entry e) { return (e & kMatchMask) >> 3; }
+  static std::uint64_t tag_of_entry(Entry e) { return e >> 3; }
 
   std::uint64_t tag_of(LineAddr line) const { return line >> set_bits_; }
   LineAddr line_of(std::uint64_t set, std::uint64_t tag) const {
@@ -319,134 +264,110 @@ class TagArray {
   const Entry* set_begin(std::uint64_t set) const {
     return &entries_[set * geom_.ways];
   }
-  PTag* lane_begin(std::uint64_t set) { return &ptags_[set * geom_.ways]; }
-  const PTag* lane_begin(std::uint64_t set) const {
-    return &ptags_[set * geom_.ways];
+  // A set's sideband block: lane_words_ lane words, then rank_words_
+  // rank-row words (see the constructor for its size and alignment).
+  std::uint64_t* block(std::uint64_t set) {
+    return &blocks_[block_off_ + set * block_words_];
+  }
+  const std::uint64_t* block(std::uint64_t set) const {
+    return &blocks_[block_off_ + set * block_words_];
   }
 
-  // Recompute one set's partial-tag lane from its entries (the restore
+  // Recompute one set's partial-tag lanes from its entries (the restore
   // paths' half of the lane-mirrors-entries invariant).
   void rebuild_lane(std::uint64_t set) {
     const Entry* e = set_begin(set);
-    PTag* lane = lane_begin(set);
     for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      lane[w] =
-          (e[w] & kValidBit) ? ptag_of(tag_of_entry(e[w])) : PTag{0};
+      set_lane(block(set), w,
+               (e[w] & kValidBit) ? ptag_of(tag_of_entry(e[w])) : PTag{0});
     }
   }
 
-  // Entry-embedded LRU: ranks live in the top nibble of the entries the
-  // caller has already loaded.  Behaviour is exactly LruPolicy's
-  // touch_inline/victim_inline (same promotions, same first-max tie-break,
-  // same way-index initial ranks); only the storage moved.
-  void touch_embedded(Entry* e, std::uint32_t way) {
-    const Entry old = e[way] & kRankMask;
-    if (old == 0) return;
-#if defined(__AVX512F__)
-    // Branchless promote: increment every rank below `old` in one masked
-    // add per 8 ways.  Same additions as the scalar loop, so the rank
-    // permutation evolves identically.
-    const __m512i vrank = _mm512_set1_epi64(static_cast<long long>(kRankMask));
-    const __m512i vold = _mm512_set1_epi64(static_cast<long long>(old));
-    const __m512i vinc = _mm512_set1_epi64(static_cast<long long>(kRankInc));
-    for (std::uint32_t base = 0; base < geom_.ways; base += 8) {
-      const std::uint32_t n = geom_.ways - base;
-      const __mmask8 lanes =
-          n >= 8 ? static_cast<__mmask8>(0xFF)
-                 : static_cast<__mmask8>((1u << n) - 1);
-      const __m512i v = _mm512_maskz_loadu_epi64(lanes, e + base);
-      const __mmask8 lt = _mm512_mask_cmplt_epu64_mask(
-          lanes, _mm512_and_si512(v, vrank), vold);
-      _mm512_mask_storeu_epi64(e + base, lt,
-                               _mm512_add_epi64(v, vinc));
-    }
-#else
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      if ((e[w] & kRankMask) < old) e[w] += kRankInc;
-    }
-#endif
-    e[way] &= ~kRankMask;
+  // Embedded LRU: byte w of a set's rank row is way w's rank (0 = MRU);
+  // bytes past the last way hold 0xFF, which no promote ages and no victim
+  // pick matches.  Behaviour is exactly LruPolicy's touch_inline /
+  // victim_inline (same promotions, same way-index initial ranks); only
+  // the storage moved.
+  std::uint64_t* rank_row(std::uint64_t set) {
+    return block(set) + lane_words_;
   }
-  std::uint32_t victim_embedded(const Entry* e) const {
-    // The ranks of a set are a permutation of 0..ways-1 (initialized that
-    // way; touch_embedded preserves it, invalidate keeps the nibble), so
-    // the LRU victim is exactly the way whose rank equals ways-1 — a
-    // compare-equal scan, and being unique it trivially matches the scalar
-    // first-max tie-break.
-    const Entry max_r = Entry{geom_.ways - 1} << kRankShift;
-#if defined(__AVX512F__)
-    const __m512i vrank = _mm512_set1_epi64(static_cast<long long>(kRankMask));
-    const __m512i vmax = _mm512_set1_epi64(static_cast<long long>(max_r));
-    for (std::uint32_t base = 0; base < geom_.ways; base += 8) {
-      const std::uint32_t n = geom_.ways - base;
-      const __mmask8 lanes =
-          n >= 8 ? static_cast<__mmask8>(0xFF)
-                 : static_cast<__mmask8>((1u << n) - 1);
-      const __mmask8 eq = _mm512_mask_cmpeq_epu64_mask(
-          lanes,
-          _mm512_and_si512(_mm512_maskz_loadu_epi64(lanes, e + base), vrank),
-          vmax);
-      if (eq != 0) return base + static_cast<std::uint32_t>(__builtin_ctz(eq));
-    }
-    return 0;  // unreachable while the permutation invariant holds
-#else
-    for (std::uint32_t w = 0;; ++w) {
-      if ((e[w] & kRankMask) == max_r || w + 1 == geom_.ways) return w;
-    }
-#endif
+  std::uint64_t rank_of(std::uint64_t set, std::uint32_t way) const {
+    return (block(set)[lane_words_ + way / 8] >> (8 * (way % 8))) & 0xFF;
   }
-
-  // Promote the way a fill just evicted into: the victim held the maximum
-  // rank, so every other way's rank is strictly below it and the promote
-  // degenerates to an unconditional increment of the others (no compare).
-  void touch_evicted_embedded(Entry* e, std::uint32_t way) {
-#if defined(__AVX512F__)
-    const __m512i vinc = _mm512_set1_epi64(static_cast<long long>(kRankInc));
-    for (std::uint32_t base = 0; base < geom_.ways; base += 8) {
-      const std::uint32_t n = geom_.ways - base;
-      std::uint32_t lanes = n >= 8 ? 0xFFu : (1u << n) - 1;
-      if (way - base < 8) lanes &= ~(1u << (way - base));
-      const __mmask8 m = static_cast<__mmask8>(lanes);
-      _mm512_mask_storeu_epi64(
-          e + base, m,
-          _mm512_add_epi64(_mm512_maskz_loadu_epi64(m, e + base), vinc));
+  void set_rank(std::uint64_t set, std::uint32_t way, std::uint64_t rank) {
+    std::uint64_t& word = rank_row(set)[way / 8];
+    const std::uint32_t shift = 8 * (way % 8);
+    word = (word & ~(std::uint64_t{0xFF} << shift)) | (rank << shift);
+  }
+  // Promote `way` to MRU: every rank below its old rank ages by one.  Per
+  // byte, (rank | 0x80) - old keeps its top bit iff rank >= old; ranks and
+  // `old` are <= 15, so no byte borrows from its neighbour and the inverted
+  // top bits, shifted down, are the +1s.  Re-touching the MRU way (old 0)
+  // ages nothing.  A fill into the victim way is the same promote: the
+  // victim holds rank ways-1, so every other way ages.
+  void touch_embedded(std::uint64_t* row, std::uint32_t way) {
+    const std::uint32_t shift = 8 * (way % 8);
+    const std::uint64_t old = ((row[way / 8] >> shift) & 0xFF) * kBytes1;
+    for (std::uint32_t k = 0; k < rank_words_; ++k) {
+      row[k] += (~((row[k] | kBytesTop) - old) & kBytesTop) >> 7;
     }
-#else
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      if (w != way) e[w] += kRankInc;
+    row[way / 8] &= ~(std::uint64_t{0xFF} << shift);
+  }
+  // The ranks of a set are a permutation of 0..ways-1 (initialized that
+  // way, preserved by every promote, kept by invalidation, checked by
+  // checkpoint restore), so the LRU victim is the unique way whose rank
+  // equals ways-1 — an exact zero-byte search of row ^ (ways-1 per byte).
+  std::uint32_t victim_embedded(const std::uint64_t* row) const {
+    const std::uint64_t lru = (geom_.ways - 1) * kBytes1;
+    std::uint32_t w = 0;
+    for (std::uint32_t k = 0; k < rank_words_; ++k) {
+      const std::uint64_t m = zero_fields(row[k] ^ lru, ~kBytesTop);
+      if (m != 0) w = 8 * k + std::countr_zero(m) / 8;
     }
-#endif
-    e[way] &= ~kRankMask;
+    return w;
   }
 
   // Promote (set, way) in the replacement order.  The paper machine is LRU
-  // at every level, so the embedded-rank path is the common case; wide-LRU
+  // at every level, so the rank-row path is the common case; wide-LRU
   // (> 16 ways) still uses LruPolicy's side array non-virtually, everything
   // else pays the virtual dispatch.
-  void repl_touch(Entry* e, std::uint64_t set, std::uint32_t way) {
+  void repl_touch(std::uint64_t set, std::uint32_t way) {
     if (embedded_lru_) {
-      touch_embedded(e, way);
+      touch_embedded(rank_row(set), way);
     } else if (lru_ != nullptr) {
       lru_->touch_inline(set, way);
     } else {
       repl_->touch(set, way);
     }
   }
-  std::uint32_t repl_victim(const Entry* e, std::uint64_t set) {
-    if (embedded_lru_) return victim_embedded(e);
+  std::uint32_t repl_victim(std::uint64_t set) {
+    if (embedded_lru_) return victim_embedded(rank_row(set));
     if (lru_ != nullptr) return lru_->victim_inline(set);
     return repl_->victim(set);
   }
-  // Promote a way repl_victim just returned (see touch_evicted_embedded);
-  // identical promotion to repl_touch, cheaper on the embedded path.
-  void repl_touch_evicted(Entry* e, std::uint64_t set, std::uint32_t way) {
-    if (embedded_lru_) {
-      touch_evicted_embedded(e, way);
-    } else if (lru_ != nullptr) {
-      lru_->touch_inline(set, way);
+
+  // Install `tag` into a set probed absent: into way `inv` if it is an
+  // invalid way, else over the replacement victim (reported in `*out`).
+  // Overwrites leave the way's rank where it was — replacement state
+  // belongs to the way, not to the line occupying it — then promote it.
+  void install(std::uint64_t set, std::uint32_t inv, std::uint64_t tag,
+               PTag ptag, bool prefetched, bool dirty, FillResult* out) {
+    Entry* e = set_begin(set);
+    *out = {};
+    std::uint32_t w = inv;
+    if (w != kNoWay) {
+      ++valid_count_;
     } else {
-      repl_->touch(set, way);
+      w = repl_victim(set);
+      out->evicted = true;
+      out->victim = line_of(set, tag_of_entry(e[w]));
+      out->victim_was_prefetched = (e[w] & kPrefetchedBit) != 0;
+      out->victim_was_dirty = (e[w] & kDirtyBit) != 0;
     }
+    out->way = w;
+    e[w] = pack(tag, prefetched, dirty);
+    set_lane(block(set), w, ptag);
+    repl_touch(set, w);
   }
 
   CacheGeometry geom_;
@@ -454,17 +375,22 @@ class TagArray {
   std::uint32_t set_bits_;
   std::uint64_t set_mask_;
   std::uint64_t bank_mask_;
+  std::uint32_t lane_words_;   // lane words per set: ceil(ways / 4)
+  std::uint32_t rank_words_;   // rank-row words per set (embedded LRU only)
+  std::uint32_t block_words_;  // sideband block stride, see block()
+  std::uint64_t block_off_;    // words to the first line-aligned block
   std::vector<Entry> entries_;
-  std::vector<PTag> ptags_;  // derived partial-tag lanes, see rebuild_lane()
-  std::unique_ptr<ReplacementPolicy> repl_;
-  LruPolicy* lru_ = nullptr;  // repl_ downcast when the policy is LRU
-  bool embedded_lru_ = false;  // LRU with <= 16 ways: ranks in the entries
+  // Per-set sideband blocks: derived partial-tag lanes (see rebuild_lane)
+  // and embedded-LRU rank rows.
+  std::vector<std::uint64_t> blocks_;
+  std::unique_ptr<ReplacementPolicy> repl_;  // null with embedded LRU
+  LruPolicy* lru_ = nullptr;  // repl_ downcast when the policy is wide LRU
+  bool embedded_lru_ = false;  // LRU with <= 16 ways: ranks in rank rows
   std::uint64_t valid_count_ = 0;
 };
 
 // --------------------------------------------------------------------------
-// Inline hot path.  Identical behaviour to the original out-of-line
-// definitions — only the call overhead and the entry padding are gone.
+// Inline hot path.
 // --------------------------------------------------------------------------
 
 inline TagArray::LookupResult TagArray::lookup(LineAddr line, bool is_write) {
@@ -472,12 +398,12 @@ inline TagArray::LookupResult TagArray::lookup(LineAddr line, bool is_write) {
   const std::uint64_t tag = tag_of(line);
   const Entry want = (tag << 3) | kValidBit;
   Entry* e = set_begin(set);
-  const std::uint32_t w = match_way(e, lane_begin(set), want, ptag_of(tag));
+  const std::uint32_t w = match_way(e, block(set), want, ptag_of(tag));
   if (w == kNoWay) return {};
   LookupResult r{true, w, (e[w] & kPrefetchedBit) != 0};
   e[w] &= ~kPrefetchedBit;
   if (is_write) e[w] |= kDirtyBit;
-  repl_touch(e, set, w);
+  repl_touch(set, w);
   return r;
 }
 
@@ -485,7 +411,7 @@ inline bool TagArray::contains(LineAddr line) const {
   const std::uint64_t set = set_of(line);
   const std::uint64_t tag = tag_of(line);
   const Entry want = (tag << 3) | kValidBit;
-  return match_way(set_begin(set), lane_begin(set), want, ptag_of(tag)) !=
+  return match_way(set_begin(set), block(set), want, ptag_of(tag)) !=
          kNoWay;
 }
 
@@ -494,7 +420,7 @@ inline bool TagArray::find_way(LineAddr line, std::uint32_t* way) const {
   const std::uint64_t tag = tag_of(line);
   const Entry want = (tag << 3) | kValidBit;
   const std::uint32_t w =
-      match_way(set_begin(set), lane_begin(set), want, ptag_of(tag));
+      match_way(set_begin(set), block(set), want, ptag_of(tag));
   if (w == kNoWay) return false;
   *way = w;
   return true;
@@ -505,32 +431,9 @@ inline TagArray::FillResult TagArray::fill(LineAddr line, bool prefetched,
   REDHIP_DCHECK(!contains(line));
   const std::uint64_t set = set_of(line);
   const std::uint64_t tag = tag_of(line);
-  Entry* e = set_begin(set);
-  PTag* lane = lane_begin(set);
-  // Prefer an invalid way (known from the lane alone).  Overwrites keep the
-  // rank nibble — replacement state belongs to the way, not to the line
-  // occupying it.
-  const std::uint32_t inv = first_invalid_way(lane);
   FillResult r;
-  std::uint32_t w;
-  if (inv != kNoWay) {
-    w = inv;
-    ++valid_count_;
-    r.way = w;
-    e[w] = (e[w] & kRankMask) | pack(tag, prefetched, dirty);
-    lane[w] = ptag_of(tag);
-    repl_touch(e, set, w);
-  } else {
-    w = repl_victim(e, set);
-    r.evicted = true;
-    r.victim = line_of(set, tag_of_entry(e[w]));
-    r.victim_was_prefetched = (e[w] & kPrefetchedBit) != 0;
-    r.victim_was_dirty = (e[w] & kDirtyBit) != 0;
-    r.way = w;
-    e[w] = (e[w] & kRankMask) | pack(tag, prefetched, dirty);
-    lane[w] = ptag_of(tag);
-    repl_touch_evicted(e, set, w);
-  }
+  install(set, first_invalid_way(block(set)), tag, ptag_of(tag),
+          prefetched, dirty, &r);
   return r;
 }
 
@@ -541,35 +444,15 @@ inline bool TagArray::fill_if_absent(LineAddr line, bool prefetched,
   const Entry want = (tag << 3) | kValidBit;
   const PTag pwant = ptag_of(tag);
   Entry* e = set_begin(set);
-  PTag* lane = lane_begin(set);
   std::uint32_t inv = kNoWay;
-  const std::uint32_t resident = probe_or_invalid(e, lane, want, pwant, &inv);
+  const std::uint32_t resident = probe(e, block(set), want, pwant, &inv);
   if (resident != kNoWay) {
     // Already present: receiving a duplicate fill is not a use, so the
     // replacement order is untouched (mark_dirty semantics).
     if (dirty) e[resident] |= kDirtyBit;
     return false;
   }
-  std::uint32_t w;
-  if (inv != kNoWay) {
-    w = inv;
-    ++valid_count_;
-    *out = {};
-    out->way = w;
-    e[w] = (e[w] & kRankMask) | pack(tag, prefetched, dirty);
-    lane[w] = pwant;
-    repl_touch(e, set, w);
-  } else {
-    w = repl_victim(e, set);
-    out->evicted = true;
-    out->way = w;
-    out->victim = line_of(set, tag_of_entry(e[w]));
-    out->victim_was_prefetched = (e[w] & kPrefetchedBit) != 0;
-    out->victim_was_dirty = (e[w] & kDirtyBit) != 0;
-    e[w] = (e[w] & kRankMask) | pack(tag, prefetched, dirty);
-    lane[w] = pwant;
-    repl_touch_evicted(e, set, w);
-  }
+  install(set, inv, tag, pwant, prefetched, dirty, out);
   return true;
 }
 
@@ -578,14 +461,14 @@ inline bool TagArray::invalidate(LineAddr line, bool* was_dirty) {
   const std::uint64_t tag = tag_of(line);
   const Entry want = (tag << 3) | kValidBit;
   Entry* e = set_begin(set);
-  PTag* lane = lane_begin(set);
-  const std::uint32_t w = match_way(e, lane, want, ptag_of(tag));
+  std::uint64_t* lanes = block(set);
+  const std::uint32_t w = match_way(e, lanes, want, ptag_of(tag));
   if (w == kNoWay) return false;
   if (was_dirty != nullptr) *was_dirty = (e[w] & kDirtyBit) != 0;
-  // Clear everything but the rank nibble: LruPolicy never learns about
-  // invalidations either, so the way keeps its place in the LRU order.
-  e[w] &= kRankMask;
-  lane[w] = 0;
+  // The rank row is untouched: LruPolicy never learns about invalidations
+  // either, so the way keeps its place in the LRU order.
+  e[w] = 0;
+  set_lane(lanes, w, 0);
   --valid_count_;
   return true;
 }
@@ -595,7 +478,7 @@ inline bool TagArray::mark_dirty(LineAddr line) {
   const std::uint64_t tag = tag_of(line);
   const Entry want = (tag << 3) | kValidBit;
   Entry* e = set_begin(set);
-  const std::uint32_t w = match_way(e, lane_begin(set), want, ptag_of(tag));
+  const std::uint32_t w = match_way(e, block(set), want, ptag_of(tag));
   if (w == kNoWay) return false;
   e[w] |= kDirtyBit;
   return true;
@@ -606,7 +489,7 @@ inline bool TagArray::is_dirty(LineAddr line) const {
   const std::uint64_t tag = tag_of(line);
   const Entry want = (tag << 3) | kValidBit;
   const Entry* e = set_begin(set);
-  const std::uint32_t w = match_way(e, lane_begin(set), want, ptag_of(tag));
+  const std::uint32_t w = match_way(e, block(set), want, ptag_of(tag));
   return w != kNoWay && (e[w] & kDirtyBit) != 0;
 }
 

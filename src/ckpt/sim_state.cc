@@ -14,7 +14,7 @@
 // generator state so restore repositions the source in O(state) instead of
 // replaying skip(refs_done).  Deliberately absent, because it is
 // regenerable or derived: refill buffers and pre-generated batches (cores
-// saved mid-batch fall back to the re-skip path), the scheduler heap, the
+// saved mid-batch fall back to the re-skip path), the scheduler tree, the
 // energy breakdown (finalize_result reprices from counters), and host-side
 // timings.  Layout changes must bump kCkptSchemaVersion (checkpoint_io.h).
 #include <cstdint>
@@ -112,7 +112,7 @@ void load_sample_snapshot(ByteReader& r, SampleSnapshot& s) {
 
 bool MulticoreSimulator::ckpt_supported() const {
   // A checkpoint must capture tag-array state completely; packed entries
-  // are the whole state only for embedded-LRU arrays.
+  // plus rank rows are the whole state only for embedded-LRU arrays.
   for (const TagArray& a : private_) {
     if (!a.state_is_self_contained()) return false;
   }

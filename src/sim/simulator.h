@@ -12,6 +12,7 @@
 // construct a fresh one per configuration.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -42,10 +43,10 @@ class MulticoreSimulator {
   // Run until every core has executed `max_refs_per_core` references (or its
   // trace ended).  Returns the priced result.  May be called once.
   //
-  // This is the fast-path engine: per-core batched trace refill, a binary
-  // min-heap core scheduler, and a run loop specialized at compile time on
-  // the (fault x prefetch x auto-disable) feature mask so runs with a
-  // feature off never test for it per reference.  Statistics are
+  // This is the fast-path engine: per-core batched trace refill, a
+  // tournament-tree core scheduler, and a run loop specialized at compile
+  // time on the (fault x prefetch x auto-disable) feature mask so runs with
+  // a feature off never test for it per reference.  Statistics are
   // bit-identical to run_reference() — same interleave, same RNG
   // consumption — locked in by tests/engine_equivalence_test.
   SimResult run(std::uint64_t max_refs_per_core);
@@ -305,25 +306,31 @@ class MulticoreSimulator {
   double sample_cumulative_energy_j(Cycles max_clock) const;
   void sample_close_window(std::uint64_t window_index);
 
-  // Min-clock core scheduler: a binary min-heap of (clock, core) packed
-  // into one 64-bit key, `clock << 8 | core`.  A single integer compare
-  // reproduces the lexicographic order — and the deterministic tie-break
-  // (lowest core id among the minimum clocks) — because the core id
-  // occupies the low byte; the sift loop compiles branch-light.  Clocks
-  // stay far below 2^56 for any realistic run length and the core count is
-  // checked against the byte at heap build, so the packing is lossless.
-  // The common operation is "advance the top core's clock", one sift-down.
-  struct HeapSlot {
-    std::uint64_t key;
-    static HeapSlot make(Cycles clock, CoreId core) {
-      REDHIP_DCHECK(clock < (Cycles{1} << 56));
-      return HeapSlot{(clock << 8) | core};
+  // Min-clock core scheduler: a tournament (winner) tree over one 64-bit
+  // key per core, `clock << 8 | core`.  A single integer compare reproduces
+  // the lexicographic order — and the deterministic tie-break (lowest core
+  // id among the minimum clocks) — because the core id occupies the low
+  // byte.  Clocks stay far below 2^56 for any realistic run length and the
+  // core count is checked against the byte at tree build, so the packing is
+  // lossless.  Leaf L + c (L = the core count rounded up to a power of two)
+  // holds core c's key, or kSchedIdle once the core is exhausted and for
+  // the padding leaves; inner node i holds the smaller of nodes 2i and
+  // 2i + 1, so the root, node 1, is the next core to run.  Advancing a core
+  // rewrites its leaf and its log2(L) ancestors, each one branch-free min
+  // against the sibling on the path.
+  static constexpr std::uint64_t kSchedIdle = ~std::uint64_t{0};
+  static std::uint64_t sched_key(Cycles clock, CoreId core) {
+    REDHIP_DCHECK(clock < (Cycles{1} << 56) - 1);
+    return (clock << 8) | core;
+  }
+  void sched_set(CoreId core, std::uint64_t key) {
+    std::size_t i = sched_.size() / 2 + core;
+    sched_[i] = key;
+    for (; i > 1; i /= 2) {
+      key = std::min(key, sched_[i ^ 1]);  // the sibling subtree's winner
+      sched_[i / 2] = key;
     }
-    CoreId core() const { return static_cast<CoreId>(key & 0xFF); }
-    bool operator<(const HeapSlot& o) const { return key < o.key; }
-  };
-  void heap_sift_down(std::size_t i);
-  void heap_pop_top();
+  }
 
   // --- Checkpoint polling ----------------------------------------------------
   // Called at safe boundaries only (between references).  When
@@ -439,7 +446,7 @@ class MulticoreSimulator {
   Cycles recal_stall_cycles_ = 0;
   // Stall cycles applied uniformly to every core (see CoreState::clock).
   Cycles global_stall_cycles_ = 0;
-  std::vector<HeapSlot> heap_;
+  std::vector<std::uint64_t> sched_;  // scheduler tree, see sched_set()
   bool ran_ = false;
 
   // Statistical-sampling state.  The open-window snapshot and the closed

@@ -1,4 +1,5 @@
-// The fast engine (run(): batched trace refill, heap scheduler, run loops
+// The fast engine (run(): batched trace refill, tournament-tree scheduler,
+// run loops
 // specialized on the feature mask) must be a pure reimplementation of the
 // reference engine (run_reference(): the original scalar loop): same
 // interleave, same RNG consumption, bit-identical statistics.  These tests
@@ -12,7 +13,9 @@
 
 #include "harness/json_report.h"
 #include "harness/run.h"
+#include "sim/simulator.h"
 #include "sim/stats.h"
+#include "trace/workloads.h"
 
 namespace redhip {
 namespace {
@@ -96,6 +99,47 @@ TEST(EngineEquivalence, AllSpecializedLoopInstantiations) {
     };
     expect_engines_agree(spec, "feature mask " + std::to_string(mask));
   }
+}
+
+// The fast engine's scheduler is a tournament tree whose leaves are padded
+// to a power of two; core counts off a power of two run with idle padding
+// leaves, and one core runs with a single-leaf tree.
+TEST(EngineEquivalence, CoreCountsOffAPowerOfTwo) {
+  for (std::uint32_t cores : {1u, 3u, 5u, 6u}) {
+    RunSpec spec = small_spec(BenchmarkId::kMix, Scheme::kRedhip,
+                              InclusionPolicy::kInclusive);
+    spec.tweak = [cores](HierarchyConfig& config) { config.cores = cores; };
+    expect_engines_agree(spec, "cores " + std::to_string(cores));
+  }
+}
+
+// Traces of different lengths end mid-run, one core at a time, so the
+// scheduler retires leaves while the other cores keep running.
+TEST(EngineEquivalence, TracesEndingAtDifferentLengths) {
+  RunSpec spec = small_spec(BenchmarkId::kMcf, Scheme::kRedhip,
+                            InclusionPolicy::kInclusive);
+  spec.tweak = [](HierarchyConfig& config) { config.cores = 6; };
+  const HierarchyConfig config = resolved_config(spec);
+  const auto run = [&](SimEngine engine) {
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    std::vector<std::uint32_t> cpis;
+    for (CoreId c = 0; c < config.cores; ++c) {
+      auto src = make_workload(spec.bench, c, spec.scale, spec.seed);
+      std::vector<MemRef> refs(2'000 + 3'000 * ((c * 5) % config.cores));
+      refs.resize(src->next_batch(refs.data(), refs.size()));
+      traces.push_back(std::make_unique<VectorTraceSource>(std::move(refs)));
+      cpis.push_back(workload_cpi_centi(spec.bench, c));
+    }
+    MulticoreSimulator sim(config, std::move(traces), std::move(cpis));
+    return engine == SimEngine::kFast ? sim.run(spec.refs_per_core)
+                                      : sim.run_reference(spec.refs_per_core);
+  };
+  const SimResult fast = run(SimEngine::kFast);
+  const SimResult ref = run(SimEngine::kReference);
+  EXPECT_TRUE(stats_identical(fast, ref));
+  EXPECT_EQ(fast.exec_cycles, ref.exec_cycles);
+  // Every trace ran dry before the per-core cap: 2k + 3k * (0+1+...+5).
+  EXPECT_EQ(fast.total_refs, 6u * 2'000u + 3'000u * 15u);
 }
 
 // --- Statistical sampling ----------------------------------------------------

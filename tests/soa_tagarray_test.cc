@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "harness/run.h"
 #include "sim/stats.h"
 #include "tagarray_fuzz.h"
@@ -99,6 +100,58 @@ TEST(SoaTagArray, CheckpointRoundTripRebuildsLanes) {
   small.size_bytes /= 2;
   TagArray other(small);
   EXPECT_FALSE(other.ckpt_restore_entries(arr.ckpt_entries()));
+}
+
+// The checkpoint payload format is pinned: ckpt_entries() after a fixed
+// churn hashes to the values recorded before the LRU ranks moved out of the
+// entries into per-set rank rows, so checkpoints and sweep snapshots
+// written by older builds still restore.
+TEST(SoaTagArray, CheckpointEntriesFormatIsPinned) {
+  const struct {
+    std::uint32_t ways;
+    std::uint64_t fnv;
+  } cases[] = {{4, 0xab48c58573b6691eull},
+               {8, 0x883c932a7d10401dull},
+               {16, 0x33114b30db4a53f3ull}};
+  for (const auto& c : cases) {
+    CacheGeometry g;
+    g.ways = c.ways;
+    g.size_bytes = 64 * c.ways * std::uint64_t{64};
+    TagArray arr(g);
+    churn(arr, g, 0xC0FFEE, 30'000);
+    Fnv1a h;
+    for (std::uint64_t e : arr.ckpt_entries()) h.u64(e);
+    EXPECT_EQ(h.digest(), c.fnv) << "ways=" << c.ways;
+  }
+}
+
+// A payload whose per-set ranks are not a permutation of 0..ways-1 would
+// leave the LRU victim undefined; restore must reject it so the checkpoint
+// loader reports DATA_LOSS instead of silently mis-simulating.
+TEST(SoaTagArray, CheckpointRestoreRejectsBadRanks) {
+  CacheGeometry g;
+  g.ways = 16;
+  g.size_bytes = 64 * 16 * std::uint64_t{64};
+  TagArray arr(g);
+  churn(arr, g, 0xC0FFEE, 30'000);
+  const std::vector<std::uint64_t> good = arr.ckpt_entries();
+  TagArray restored(g);
+  ASSERT_TRUE(restored.ckpt_restore_entries(good));
+  // Flipping one rank bit duplicates another way's rank in the same set.
+  for (std::size_t i : {std::size_t{0}, std::size_t{17}, good.size() - 1}) {
+    std::vector<std::uint64_t> bad = good;
+    bad[i] ^= std::uint64_t{1} << 60;
+    EXPECT_FALSE(restored.ckpt_restore_entries(bad)) << "entry " << i;
+  }
+  // A rank past ways-1 is out of range for a 4-way set.
+  CacheGeometry g4 = g;
+  g4.ways = 4;
+  g4.size_bytes = 64 * 4 * std::uint64_t{64};
+  TagArray small(g4);
+  std::vector<std::uint64_t> bad = small.ckpt_entries();
+  bad[2] |= std::uint64_t{0xF} << 60;
+  EXPECT_FALSE(small.ckpt_restore_entries(bad));
+  ASSERT_TRUE(small.ckpt_restore_entries(TagArray(g4).ckpt_entries()));
 }
 
 // Randomized full-simulation equivalence: a deterministic sample of

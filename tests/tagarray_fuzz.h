@@ -6,9 +6,7 @@
 // The shadow replicates the documented replacement contract exactly —
 // way-index initial ranks, promote-on-use, first-invalid-way fills,
 // first-max victim, rank survives invalidation — so any divergence is a
-// TagArray bug, not a modeling choice.  Shared between soa_tagarray_test
-// (host ISA) and tagarray_scalar_test (compiled with AVX-512 disabled, so
-// the portable lane-scan fallback is what executes).
+// TagArray bug, not a modeling choice.  Used by soa_tagarray_test.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -254,12 +252,13 @@ inline void fuzz_against_shadow(const CacheGeometry& g, std::uint64_t seed,
   }
 }
 
-// The geometries the fuzz runs over: embedded-LRU (<= 16 ways), wide LRU
-// with the side rank array (> 16 ways), and > 64 ways so the blocked lane
-// scan needs a second 64-way block.
+// The geometries the fuzz runs over: lane padding (ways not a multiple of
+// four), one- and two-word rank rows with unused bytes (<= 8 and <= 16
+// ways), wide LRU with the side rank array (> 16 ways), and > 64 ways.
 inline std::vector<CacheGeometry> fuzz_geometries() {
   std::vector<CacheGeometry> gs;
-  for (std::uint32_t ways : {1u, 4u, 16u, 32u, 80u}) {
+  for (std::uint32_t ways :
+       {1u, 2u, 3u, 4u, 5u, 7u, 8u, 12u, 16u, 17u, 32u, 80u}) {
     CacheGeometry g;
     g.ways = ways;
     const std::uint64_t sets = ways > 64 ? 16 : 64;
