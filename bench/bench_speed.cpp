@@ -1,7 +1,7 @@
 // bench_speed — end-to-end simulation speed benchmark (BENCH_speed.json).
 //
 // Runs the base + redhip columns over the full workload list on both
-// engines — fast (batched traces, specialized run loops, tree scheduler)
+// engines — fast (batched traces, pipelined tag-lane hints, tree scheduler)
 // and reference (the original scalar loop, kept as the bit-identical
 // oracle) — and reports per-run and aggregate host throughput in simulated
 // Mrefs/s.  Every (workload, column) cell is checked for statistically
@@ -36,12 +36,12 @@
 //
 // A fourth, opt-in leg (--sampled-refs=N) measures SMARTS-style interval
 // sampling: one long exact fast-engine run against the same spec sampled
-// (--sampled-bench/-period/-window/-warmup/-warm-mode), reported as
+// (--sampled-bench/-period/-window/-warmup), reported as
 // `sampling` in the JSON.  The sampled run's 95% CIs must cover the exact
 // run's IPC, L1 hit rate and total energy or the benchmark fails;
 // --sampled-min-speedup=X additionally gates the wall-clock ratio (the
-// committed BENCH_speed.json carries the 500M-ref warm-engine configuration
-// from scripts/bench_speed.sh).
+// committed BENCH_speed.json carries the 500M-ref configuration from
+// scripts/bench_speed.sh).
 //
 // The same leg then measures warm-state snapshot reuse — the sweep-farm
 // scenario the shareable window snapshots exist for: a seeding run of the
@@ -60,7 +60,6 @@
 //                    [--sampled-refs=N] [--sampled-bench=mcf]
 //                    [--sampled-period=N] [--sampled-window=N]
 //                    [--sampled-warmup=N] [--sampled-min-speedup=X]
-//                    [--sampled-warm-mode=warm|full]
 //                    [--sampled-min-resumed-speedup=X]
 #include <algorithm>
 #include <cstdio>
@@ -371,12 +370,6 @@ int main(int argc, char** argv) {
         cli.get_uint64("sampled-period", 6'000'000);
     sspec.sampling.window_refs = cli.get_uint64("sampled-window", 10'000);
     sspec.sampling.warmup_refs = cli.get_uint64("sampled-warmup", 100'000);
-    // warm (default) exercises the specialized warm engine — the configuration
-    // whose speedup the JSON advertises; full measures the pre-warm-engine
-    // baseline (bit-identical sampled semantics, slower warm phases).
-    sspec.sampling.warm_mode = cli.get("sampled-warm-mode", "warm") == "full"
-                                   ? SampleWarmMode::kFull
-                                   : SampleWarmMode::kWarm;
     const SimResult sampled = run_spec(sspec);
 
     const double exact_ipc =
@@ -478,7 +471,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     // Duty cycle: the fraction of the run actually simulated (warm +
-    // window) rather than skipped — the knob the warm engine cheapens.
+    // window) rather than skipped.
     const std::uint64_t total_agg = sr.skipped_refs + sr.warmed_refs +
                                     sr.measured_refs;
     const double duty_cycle =
@@ -497,7 +490,7 @@ int main(int argc, char** argv) {
         ",\n  \"sampling\": {\n"
         "    \"bench\": \"%s\",\n    \"refs_per_core\": %llu,\n"
         "    \"period_refs\": %llu,\n    \"window_refs\": %llu,\n"
-        "    \"warmup_refs\": %llu,\n    \"warm_mode\": \"%s\",\n"
+        "    \"warmup_refs\": %llu,\n"
         "    \"windows\": %llu,\n"
         "    \"duty_cycle\": %.6f,\n    \"warm_mrefs_per_s\": %.2f,\n"
         "    \"exact_wall_seconds\": %.3f,\n"
@@ -516,7 +509,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(sspec.sampling.period_refs),
         static_cast<unsigned long long>(sspec.sampling.window_refs),
         static_cast<unsigned long long>(sspec.sampling.warmup_refs),
-        to_string(sspec.sampling.warm_mode),
         static_cast<unsigned long long>(sr.windows), duty_cycle,
         warm_mrefs_per_s, exact.host_seconds,
         sampled.host_seconds, speedup, resumed.host_seconds, resumed_speedup,

@@ -14,8 +14,7 @@
 //                [--trace-events redhip-events.jsonl] [--json report.json]
 //                [--ckpt-file run.ckpt] [--ckpt-interval N] [--ckpt-restore]
 //                [--sample-mode interval --sample-period N
-//                 --sample-window M --sample-warmup W
-//                 --sample-warm-mode warm|full]
+//                 --sample-window M --sample-warmup W]
 //
 // --sample-mode=interval turns on SMARTS-style statistical sampling (see
 // DESIGN.md "Statistical sampling"): the run fast-forwards between
@@ -37,6 +36,7 @@
 // crash-recovery job SIGKILLs this binary mid-run and cmp's the reports.
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "ckpt/checkpoint_io.h"
@@ -49,47 +49,27 @@
 
 using namespace redhip;
 
-int main(int argc, char** argv) {
+namespace {
+
+int quickstart_main(int argc, char** argv) {
   CliOptions opts(argc, argv);
   const std::uint32_t scale =
       static_cast<std::uint32_t>(opts.get_int("scale", 8));
-  const std::uint64_t refs =
-      static_cast<std::uint64_t>(opts.get_int("refs", 200'000));
+  const std::uint64_t refs = opts.get_uint64("refs", 200'000);
   const std::string bench_name = opts.get("bench", "mcf");
   const std::string trace_events = opts.get("trace-events", "");
   const std::string json_path = opts.get("json", "");
   const std::string ckpt_file = opts.get("ckpt-file", "");
   const std::uint64_t ckpt_interval = opts.get_uint64("ckpt-interval", 0);
   const bool ckpt_restore = opts.get_bool("ckpt-restore", false);
-  const std::string sample_mode = opts.get("sample-mode", "off");
-  SamplingPlan sampling;
-  if (sample_mode == "interval") {
-    sampling.mode = SampleMode::kInterval;
-    // Defaults sized for paper-scale runs (>= 10M refs/core): the warmup
-    // must rebuild the deep hierarchy's occupancy at the window's position,
-    // which takes ~100k references — see DESIGN.md "Statistical sampling".
-    sampling.period_refs = opts.get_uint64("sample-period", 1'000'000);
-    sampling.window_refs = opts.get_uint64("sample-window", 10'000);
-    sampling.warmup_refs = opts.get_uint64("sample-warmup", 100'000);
-    // warm (default): the specialized warm engine rebuilds state between
-    // windows at a fraction of full-fidelity cost; full: bit-identical to
-    // pre-warm-engine sampled runs.
-    const std::string warm = opts.get("sample-warm-mode", "warm");
-    if (warm == "full") {
-      sampling.warm_mode = SampleWarmMode::kFull;
-    } else {
-      REDHIP_CHECK_MSG(warm == "warm",
-                       "unknown --sample-warm-mode: " + warm);
-    }
-  } else {
-    REDHIP_CHECK_MSG(sample_mode == "off",
-                     "unknown --sample-mode: " + sample_mode);
-  }
+  const SamplingPlan sampling = parse_sampling_plan(opts);
 
-  BenchmarkId bench = BenchmarkId::kMcf;
-  for (BenchmarkId id : all_benchmarks()) {
-    if (to_string(id) == bench_name) bench = id;
-  }
+  const auto& benches = all_benchmarks();
+  const auto it = std::find_if(
+      benches.begin(), benches.end(),
+      [&](BenchmarkId id) { return to_string(id) == bench_name; });
+  REDHIP_CHECK_MSG(it != benches.end(), "unknown benchmark: " + bench_name);
+  const BenchmarkId bench = *it;
 
   // Catch SIGTERM/SIGINT from the start: a stop request during the Base leg
   // (which never polls) must not kill the process with the default action —
@@ -202,4 +182,17 @@ int main(int argc, char** argv) {
     std::printf("wrote json_report to %s\n", json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+// Any error, usage errors (a malformed number, an unknown workload or mode)
+// included, exits 2 with its diagnostic instead of aborting.
+int main(int argc, char** argv) {
+  try {
+    return quickstart_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 2;
+  }
 }

@@ -140,10 +140,10 @@ def sampling_section(base, cur, lines, threshold):
     """Compare the sampled-vs-exact block; returns warning strings.
 
     The sampling block's headline number is `speedup` (exact wall seconds /
-    sampled wall seconds) — the figure the warm-engine work moves.  Wall
+    sampled wall seconds) — the figure warm/skip-path work moves.  Wall
     seconds themselves are host-dependent, but their in-file ratio is not,
     so a shrinking speedup on the same plan geometry is a genuine
-    warm/skip-path regression even on a noisy runner.  Warm-engine
+    warm/skip-path regression even on a noisy runner.  Warm
     throughput (warm_mrefs_per_s) gets the same treatment when both files
     carry it.
     """
@@ -157,7 +157,7 @@ def sampling_section(base, cur, lines, threshold):
         return []
     warns = []
     geometry = ("bench", "refs_per_core", "period_refs", "window_refs",
-                "warmup_refs", "warm_mode")
+                "warmup_refs")
     geo_diffs = [f"{k}: {bs.get(k)!r} -> {cs.get(k)!r}"
                  for k in geometry if bs.get(k) != cs.get(k)]
     if geo_diffs:
@@ -185,7 +185,7 @@ def sampling_section(base, cur, lines, threshold):
                      f"threshold {threshold:.0f}%)")
     b_w, c_w = bs.get("warm_mrefs_per_s"), cs.get("warm_mrefs_per_s")
     if b_w and c_w and not geo_diffs and pct(c_w, b_w) < -threshold:
-        warns.append(f"warm-engine throughput regressed "
+        warns.append(f"warm throughput regressed "
                      f"{pct(c_w, b_w):+.1f}% ({b_w:.3f} -> {c_w:.3f} "
                      f"Mrefs/s, threshold {threshold:.0f}%)")
     if b_rs and c_rs and not geo_diffs and pct(c_rs, b_rs) < -threshold:

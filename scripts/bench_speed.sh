@@ -89,7 +89,11 @@ configure_and_build() {
 }
 
 if [[ "$PGO" == 1 ]]; then
-  prof_dir=$PWD/$BUILD_DIR/pgo-profiles
+  # gcc wants an absolute profile path; a relative BUILD_DIR is repo-relative.
+  case "$BUILD_DIR" in
+    /*) prof_dir=$BUILD_DIR/pgo-profiles ;;
+    *) prof_dir=$PWD/$BUILD_DIR/pgo-profiles ;;
+  esac
   rm -rf "$prof_dir"
   echo "== PGO pass 1/2: instrumented build + training matrix =="
   configure_and_build "-fprofile-generate=$prof_dir"

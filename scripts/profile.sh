@@ -31,9 +31,7 @@
 # under an interval plan whose wall time is dominated by the skip + warm
 # phases (period 1M, warmup 100k, window 10k per core), so the table ranks
 # skip_with_gaps and the warm loop rather than the measured-window run loop.
-# Extra flags go to quickstart — in particular `--sample-warm-mode=full`
-# captures the pre-warm-engine baseline, which is how the before/after
-# warm-loop table in DESIGN.md ("Statistical sampling") was produced.
+# Extra flags go to quickstart.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -27,28 +27,7 @@ ExperimentOptions ExperimentOptions::parse(const CliOptions& cli) {
   o.ckpt_interval = cli.get_uint64("ckpt-interval", 0);
   o.cell_timeout = cli.get_double("cell-timeout", 0.0);
   REDHIP_CHECK_MSG(o.cell_timeout >= 0.0, "--cell-timeout must be >= 0");
-  const std::string sample_mode = cli.get("sample-mode", "off");
-  if (sample_mode == "interval") {
-    o.sampling.mode = SampleMode::kInterval;
-    // Defaults sized for paper-scale runs (>= 10M refs/core): the warmup
-    // must rebuild the deep hierarchy's occupancy at the window's position,
-    // which takes ~100k references — see DESIGN.md "Statistical sampling".
-    o.sampling.period_refs = cli.get_uint64("sample-period", 1'000'000);
-    o.sampling.window_refs = cli.get_uint64("sample-window", 10'000);
-    o.sampling.warmup_refs = cli.get_uint64("sample-warmup", 100'000);
-    const std::string warm = cli.get("sample-warm-mode", "warm");
-    if (warm == "warm") {
-      o.sampling.warm_mode = SampleWarmMode::kWarm;
-    } else if (warm == "full") {
-      o.sampling.warm_mode = SampleWarmMode::kFull;
-    } else {
-      REDHIP_CHECK_MSG(false, "unknown --sample-warm-mode: " + warm +
-                                  " (expected warm|full)");
-    }
-  } else {
-    REDHIP_CHECK_MSG(sample_mode == "off",
-                     "unknown --sample-mode: " + sample_mode);
-  }
+  o.sampling = parse_sampling_plan(cli);
   REDHIP_CHECK_MSG(o.obs_epoch_refs > 0, "--obs-epoch must be positive");
   const std::string bench = cli.get("bench", "");
   if (bench.empty()) {

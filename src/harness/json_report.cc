@@ -248,12 +248,10 @@ std::string to_json(const SimResult& r) {
     w.value(r.sampling.plan.window_refs);
     w.key("warmup_refs");
     w.value(r.sampling.plan.warmup_refs);
-    // Emitted only for the warm engine so full-mode reports stay
-    // byte-identical to pre-warm-engine builds.
-    if (r.sampling.plan.warm_mode != SampleWarmMode::kFull) {
-      w.key("warm_mode");
-      w.value(to_string(r.sampling.plan.warm_mode));
-    }
+    // A constant since warming has one path; kept because the golden
+    // sampled reports and the benchmark digests contain it.
+    w.key("warm_mode");
+    w.value("warm");
     w.key("windows");
     w.value(r.sampling.windows);
     w.key("skipped_refs");

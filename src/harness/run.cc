@@ -5,6 +5,7 @@
 
 #include "ckpt/checkpoint_io.h"
 #include "common/check.h"
+#include "common/cli.h"
 #include "sim/config_digest.h"
 
 namespace redhip {
@@ -24,6 +25,21 @@ Result<SimEngine> parse_engine(std::string_view name) {
   return Status(StatusCode::kInvalidArgument,
                 "--engine=" + std::string(name) +
                     ": expected fast|reference");
+}
+
+SamplingPlan parse_sampling_plan(const CliOptions& cli) {
+  SamplingPlan plan;
+  const std::string mode = cli.get("sample-mode", "off");
+  if (mode == "off") return plan;
+  REDHIP_CHECK_MSG(mode == "interval", "unknown --sample-mode: " + mode);
+  plan.mode = SampleMode::kInterval;
+  // Defaults sized for paper-scale runs (>= 10M refs/core): the warmup must
+  // rebuild the deep hierarchy's occupancy at the window's position, which
+  // takes ~100k references — see DESIGN.md "Statistical sampling".
+  plan.period_refs = cli.get_uint64("sample-period", 1'000'000);
+  plan.window_refs = cli.get_uint64("sample-window", 10'000);
+  plan.warmup_refs = cli.get_uint64("sample-warmup", 100'000);
+  return plan;
 }
 
 std::string window_snapshot_path(const std::string& ckpt_path,

@@ -17,8 +17,8 @@
 namespace redhip {
 
 // Which run loop executes the simulation.  kFast is the production engine
-// (batched traces, specialized loops, tree scheduler); kReference is the
-// original engine kept as the bit-identical oracle — both produce the same
+// (batched traces, pipelined tag-lane hints, tree scheduler); kReference is
+// the original engine kept as the bit-identical oracle — both produce the same
 // statistics (see tests/engine_equivalence_test), kReference just exists to
 // prove it and to anchor bench_speed.  The enumerator values are part of
 // every result-cache key (sweep_cache_key hashes the engine byte), so they
@@ -28,6 +28,13 @@ std::string engine_name(SimEngine e);
 // Inverse of engine_name, for --engine: INVALID_ARGUMENT naming the
 // accepted values when `name` is not one of them.
 Result<SimEngine> parse_engine(std::string_view name);
+
+class CliOptions;
+// The sampling plan named by --sample-mode=off|interval and, for interval,
+// --sample-period/--sample-window/--sample-warmup (defaults 1M/10K/100K
+// refs per core).  An unknown mode or a malformed count throws; the plan's
+// fit against the run length is checked later, by SamplingPlan::validate.
+SamplingPlan parse_sampling_plan(const CliOptions& cli);
 
 struct RunSpec {
   BenchmarkId bench = BenchmarkId::kBwaves;

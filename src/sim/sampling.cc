@@ -15,14 +15,6 @@ const char* to_string(SampleMode m) {
   return "unknown";
 }
 
-const char* to_string(SampleWarmMode m) {
-  switch (m) {
-    case SampleWarmMode::kWarm: return "warm";
-    case SampleWarmMode::kFull: return "full";
-  }
-  return "unknown";
-}
-
 Status SamplingPlan::validate(std::uint64_t refs_per_core) const {
   if (!enabled()) return Status::Ok();
   if (period_refs == 0) {
@@ -102,14 +94,9 @@ std::uint64_t sampling_digest(const SamplingPlan& plan) {
   Fnv1a h;
   h.u8(static_cast<std::uint8_t>(plan.mode));
   h.u64(plan.period_refs).u64(plan.window_refs).u64(plan.warmup_refs);
-  // The warm engine elides gap-era counters, so its cumulative state (and
-  // any checkpoint of it) is not interchangeable with full-fidelity
-  // warming's.  Folded only when != kFull so full-mode digests — and
-  // therefore checkpoint envelope keys and sweep cache cells — stay
-  // byte-identical to pre-warm-engine builds.
-  if (plan.warm_mode != SampleWarmMode::kFull) {
-    h.u8(0x57).u8(static_cast<std::uint8_t>(plan.warm_mode));
-  }
+  // A constant tag for the warming semantics (warm tallies discarded);
+  // checkpoint keys, sweep cache cells and window snapshot names fold it.
+  h.u8(0x57).u8(0);
   return h.digest();
 }
 

@@ -44,11 +44,11 @@ class MulticoreSimulator {
   // trace ended).  Returns the priced result.  May be called once.
   //
   // This is the fast-path engine: per-core batched trace refill, a
-  // tournament-tree core scheduler, and a run loop specialized at compile
-  // time on the (fault x prefetch x auto-disable) feature mask so runs with
-  // a feature off never test for it per reference.  Statistics are
-  // bit-identical to run_reference() — same interleave, same RNG
-  // consumption — locked in by tests/engine_equivalence_test.
+  // tournament-tree core scheduler, software-pipelined tag-lane prefetch
+  // hints, and the (fault x prefetch x auto-disable) feature mask read once
+  // per segment.  Statistics are bit-identical to run_reference() — same
+  // interleave, same RNG consumption — locked in by
+  // tests/engine_equivalence_test.
   SimResult run(std::uint64_t max_refs_per_core);
 
   // The original (pre-fast-path) engine, kept verbatim: scalar
@@ -173,20 +173,11 @@ class MulticoreSimulator {
     Cycles latency = 0;
     bool was_prefetched = false;
   };
-  // Most event-recording and access-path members are templated on `kWarm`.
-  // kWarm = false is the ordinary full-fidelity path.  kWarm = true is the
-  // warm engine used by sampled warmups (sample_warm_to): every state
-  // mutation — tag arrays/LRU, dirty bits, directory, predictor rows and
-  // events, CBF/PT, prefetcher training, L1 access/hit/miss counts, recal
-  // and stall accounting — is identical, but pure-accounting counters that
-  // no later decision reads (per-level probe/fill/eviction/invalidation/
-  // writeback/skip tallies, lvl >= 1 access/hit/miss counts, memory traffic,
-  // simulator-level prefetch issue stats) are elided.  Window metrics never
-  // see the difference: they are snapshot deltas over L1 counts, clocks and
-  // linearly-priced energy, and warm phases sit entirely between snapshots.
+  // One access path serves exact runs and sampled warmups alike;
+  // sample_warm_to discards the pure-accounting tallies a warm phase
+  // records (see its definition for the list).
   //
   // `is_write` only matters at L1, where a write hit dirties the line.
-  template <bool kWarm>
   ProbeOutcome probe(std::uint32_t lvl, CoreId core, LineAddr line,
                      bool is_write = false);
 
@@ -198,37 +189,25 @@ class MulticoreSimulator {
   // bypass verified LLC absence, which inclusion extends upward), so the
   // resident re-scan inside fill_if_absent is skipped.  Prefetch fills must
   // pass false — a prefetch can race a demand fill of the same line.
-  template <bool kWarm>
   void fill_at(std::uint32_t lvl, CoreId core, LineAddr line, bool prefetched,
                bool dirty = false, bool known_absent = false);
   // Dirty-eviction bookkeeping for a victim leaving `lvl`.
-  template <bool kWarm>
   void note_writeback(std::uint32_t lvl, CoreId core, LineAddr victim);
   // Remove an LLC victim from every private level (inclusive/hybrid).
-  template <bool kWarm>
   void back_invalidate_all_cores(std::uint32_t below_level, LineAddr victim);
-  template <bool kWarm>
   void back_invalidate_core(std::uint32_t below_level, CoreId core,
                             LineAddr victim);
 
   // Exclusive/hybrid: insert at `lvl` and cascade the victim downward; the
   // cascade stops before `stop_level` (exclusive: past the LLC, victims are
   // dropped; hybrid: private victims stop at L3 since the LLC keeps a copy).
-  template <bool kWarm>
   void insert_with_cascade(std::uint32_t lvl, CoreId core, LineAddr line,
                            std::uint32_t last_level, bool dirty = false);
 
   // --- Access paths per inclusion policy -------------------------------------
-  // Non-template entry point for the full-fidelity engines; the warm engine
-  // calls access_impl<true> directly.
   Cycles access(CoreId core, const MemRef& ref);
-  template <bool kWarm>
-  Cycles access_impl(CoreId core, const MemRef& ref);
-  template <bool kWarm>
   Cycles access_inclusive(CoreId core, LineAddr line, bool is_write);
-  template <bool kWarm>
   Cycles access_hybrid(CoreId core, LineAddr line, bool is_write);
-  template <bool kWarm>
   Cycles access_exclusive(CoreId core, LineAddr line, bool is_write);
 
   // Predictor bookkeeping shared by the access paths.
@@ -246,10 +225,8 @@ class MulticoreSimulator {
   // Auto-disable (paper §IV): epoch evaluation of predictor usefulness.
   void evaluate_auto_disable();
 
-  // Prefetch handling (inclusive only).  Same wrapper split as access().
+  // Prefetch handling (inclusive only).
   void run_prefetches(CoreId core, const MemRef& ref);
-  template <bool kWarm>
-  void run_prefetches_impl(CoreId core, const MemRef& ref);
 
   // --- Observability (src/obs; obs_ is null when disabled) -------------------
   // Emit the run_begin event (both engines, config-derived fields only).
@@ -268,14 +245,10 @@ class MulticoreSimulator {
   }
 
   // --- Fast-path run machinery ----------------------------------------------
-  // The run loop specialized on the feature mask; run() dispatches once per
-  // run to the instantiation matching (injector, prefetchers, auto-disable).
-  template <bool kFault, bool kPrefetch, bool kAutoDisable>
-  void run_loop(std::uint64_t max_refs_per_core);
   // One detailed segment per engine: run every core to the absolute
   // per-core target `target_refs_per_core`.  An exact run is one segment to
   // max_refs_per_core; a sampled run invokes its engine's segment once per
-  // measurement window.  fast_segment is the mask dispatch over run_loop;
+  // measurement window.  fast_segment is the fast run loop;
   // reference_segment is the original scalar loop, extracted verbatim.
   void fast_segment(std::uint64_t target_refs_per_core);
   void reference_segment(std::uint64_t target_refs_per_core);
@@ -291,15 +264,11 @@ class MulticoreSimulator {
   // Fast-forward every core to `target` refs: pure trace repositioning, no
   // simulated state changes, chunked so checkpoint actions stay responsive.
   void sample_skip_to(std::uint64_t target_refs_per_core);
-  // Functionally warm every core to `target` refs with clocks, CPI,
-  // per-reference observability and auto-disable epoch ticking frozen.
-  // Dispatches on the plan's warm mode: kFull drives the ordinary access
-  // path (bit-identical to pre-warm-engine sampled runs); kWarm drives the
-  // specialized warm loop (same state evolution, elided pure accounting,
-  // software-pipelined prefetch hints).  Both interleave cores identically.
+  // Functionally warm every core to `target` refs through the ordinary
+  // access path, with clocks, CPI, per-reference observability and
+  // auto-disable epoch ticking frozen and the pure-accounting tallies
+  // discarded after every round.
   void sample_warm_to(std::uint64_t target_refs_per_core);
-  template <bool kWarm>
-  void sample_warm_loop(std::uint64_t target_refs_per_core);
   SampleSnapshot sample_snapshot() const;
   // Current counters priced cumulatively (the ledger is linear, so window
   // energy is the difference of two boundary prices).

@@ -59,7 +59,7 @@ struct SimResult {
   // Wall time spent inside the sampled warm phases (sample_warm_to), filled
   // by the simulator; 0 for exact runs.  Host-side like host_seconds —
   // excluded from stats_identical — but the number bench_speed reports as
-  // warm-engine throughput (warmed_refs / warm_host_seconds).
+  // warm throughput (warmed_refs / warm_host_seconds).
   double warm_host_seconds = 0.0;
   // How long this run sat queued behind other cells on the executor pool
   // (run_matrix / run_sweep: submission to task start; 0 when the run never

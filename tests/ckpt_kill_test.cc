@@ -4,7 +4,7 @@
 // the subsystem exists for.  The parent then resumes from the survivor file
 // and must reproduce the uninterrupted run bit for bit: stats_identical,
 // byte-identical json_report, byte-identical JSONL event trace.  Covered:
-// every specialized fast-engine feature mask (fault x prefetch x
+// every fast-engine feature combination (fault x prefetch x
 // auto-disable), and both engines on one configuration.
 #include <gtest/gtest.h>
 

@@ -177,6 +177,46 @@ TEST_F(CkptRestoreTest, AheadOfRunCheckpointIsIgnoredNotEvicted) {
   EXPECT_TRUE(std::filesystem::exists(ckpt)) << "valid file wrongly evicted";
 }
 
+// A checkpoint taken inside a sampled run's warm phase.  Warming restores
+// its pure-accounting tallies at the end of every round, before it polls for
+// checkpoint actions; a save that captured the round's tallies instead
+// would resume with them folded into the counters.  Prefetch is on so the
+// discarded prefetch stats are live too.
+TEST_F(CkptRestoreTest, MidWarmCheckpointRestoresBitIdentical) {
+  for (SimEngine engine : {SimEngine::kFast, SimEngine::kReference}) {
+    const std::string name = engine_name(engine);
+    RunSpec spec;
+    spec.bench = BenchmarkId::kMcf;
+    spec.scheme = Scheme::kRedhip;
+    spec.scale = 8;
+    spec.seed = 1234;
+    spec.prefetch = true;
+    spec.engine = engine;
+    spec.refs_per_core = 40'000;  // four windows
+    spec.sampling.mode = SampleMode::kInterval;
+    spec.sampling.period_refs = 10'000;
+    spec.sampling.window_refs = 1'000;
+    spec.sampling.warmup_refs = 2'000;
+    const SimResult plain = run_spec(spec);
+
+    // Window 0 skips to 7'000 refs per core (56'000 aggregate over 8
+    // cores), then warms to 9'000 in rounds that end at 256-ref chunk
+    // boundaries: 57'344, 59'392, 61'440, ...  The save fires at the first
+    // poll at or past 60'000, i.e. after the third warm round.
+    const std::string ckpt = (dir_ / (name + "-warm.ckpt")).string();
+    RunSpec saving = spec;
+    saving.ckpt_path = ckpt;
+    saving.ckpt_save_at_refs = 60'000;
+    expect_same_run(plain, run_spec(saving), name + " saving mid-warm");
+    ASSERT_TRUE(std::filesystem::exists(ckpt)) << name;
+
+    RunSpec resuming = spec;
+    resuming.ckpt_path = ckpt;
+    resuming.ckpt_restore = true;
+    expect_same_run(plain, run_spec(resuming), name + " restored mid-warm");
+  }
+}
+
 // Sweep warmup sharing: cells that differ only in refs_per_core share a
 // checkpoint key, so with warmup_refs set the first cell writes one warmup
 // file and the others restore from it.  Results must be bit-identical to

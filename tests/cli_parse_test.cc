@@ -45,25 +45,6 @@ TEST(CliParse, DefaultsSurviveAbsence) {
   EXPECT_EQ(opts.engine, SimEngine::kFast);
 }
 
-TEST(CliParse, SampleWarmModeSelection) {
-  // Default for sampled runs is the warm engine; "full" is the escape hatch
-  // that reproduces pre-warm-engine sampled behavior bit for bit.
-  EXPECT_EQ(ExperimentOptions::parse(make_cli({"--sample-mode=interval"}))
-                .sampling.warm_mode,
-            SampleWarmMode::kWarm);
-  EXPECT_EQ(ExperimentOptions::parse(
-                make_cli({"--sample-mode=interval", "--sample-warm-mode=warm"}))
-                .sampling.warm_mode,
-            SampleWarmMode::kWarm);
-  EXPECT_EQ(ExperimentOptions::parse(
-                make_cli({"--sample-mode=interval", "--sample-warm-mode=full"}))
-                .sampling.warm_mode,
-            SampleWarmMode::kFull);
-  EXPECT_THROW(ExperimentOptions::parse(make_cli(
-                   {"--sample-mode=interval", "--sample-warm-mode=fast"})),
-               std::logic_error);
-}
-
 TEST(CliParse, ZeroSkipSamplingPlanIsRejectedByValidation) {
   // The parse layer accepts the numbers; SamplingPlan::validate rejects the
   // zero-skip geometry with a diagnostic naming all three flags.

@@ -1,10 +1,9 @@
 // The fast engine (run(): batched trace refill, tournament-tree scheduler,
-// run loops
-// specialized on the feature mask) must be a pure reimplementation of the
+// pipelined tag-lane hints) must be a pure reimplementation of the
 // reference engine (run_reference(): the original scalar loop): same
 // interleave, same RNG consumption, bit-identical statistics.  These tests
 // pin that contract across schemes, inclusion policies, and every
-// specialized-loop instantiation.
+// fault x prefetch x auto-disable combination.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -74,10 +73,10 @@ TEST(EngineEquivalence, SeveralWorkloads) {
   }
 }
 
-// Every run_loop<kFault, kPrefetch, kAutoDisable> instantiation: the fast
-// engine dispatches on the feature mask, so each of the 8 combinations is a
-// distinct compiled loop that must match the (always-generic) reference.
-TEST(EngineEquivalence, AllSpecializedLoopInstantiations) {
+// Every (fault x prefetch x auto-disable) combination: the fast loop reads
+// the feature mask once per segment, so each of the 8 combinations takes a
+// different set of branches that must match the reference engine's.
+TEST(EngineEquivalence, EveryFeatureCombination) {
   for (int mask = 0; mask < 8; ++mask) {
     const bool fault = mask & 1;
     const bool prefetch = mask & 2;

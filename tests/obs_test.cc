@@ -279,8 +279,8 @@ TEST(ObsConfigFile, TraceFileNamesAreSanitized) {
 // Beyond bit-identical end-of-run statistics (engine_equivalence_test), the
 // two engines must agree on *when* everything happened: the JSONL traces
 // they emit — epochs, recalibration brackets, auto-disable flips, recovery
-// actions — must match byte for byte across every specialized run_loop
-// instantiation (fault x prefetch x auto_disable).
+// actions — must match byte for byte across every feature combination
+// (fault x prefetch x auto_disable).
 TEST(ObsEquivalence, FastAndReferenceTracesAreByteIdentical) {
   const std::string dir = ::testing::TempDir();
   for (int mask = 0; mask < 8; ++mask) {

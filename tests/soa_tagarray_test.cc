@@ -2,8 +2,8 @@
 // observably identical to a plain per-way model (tagarray_fuzz.h), the
 // derived lanes must survive checkpoint restore, and a randomized sample of
 // full simulations must stay bit-identical between the fast and reference
-// engines across schemes, inclusion policies, and every specialized-loop
-// feature mask.
+// engines across schemes, inclusion policies, and every feature
+// combination.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -1,45 +1,38 @@
-// Warm-engine equivalence (src/sim/simulator.cc sample_warm_loop<kWarm>).
+// Functional-warming pins (src/sim/simulator.cc sample_warm_to).
 //
-// The warm engine's contract: a sampled run warmed by the specialized loop
-// (SampleWarmMode::kWarm) is indistinguishable from one warmed at full
-// fidelity (kFull) everywhere a measurement can look.  The elided work is
-// pure accounting — per-level probe/fill/eviction/writeback tallies, memory
-// traffic, prefetch issue stats — and none of it feeds state that a later
-// window touches.  Pinned here, for every run-loop feature mask and every
-// engine:
+// Warming drives the one access path exact runs use, then restores the
+// pure-accounting tallies it recorded (per-level probe/fill/eviction/
+// invalidation/writeback/skip counts, L2+ access/hit/miss counts, memory
+// traffic, simulator-level prefetch stats) so a warm phase leaves them
+// untouched.  The fingerprints below were recorded on the build that still
+// had a separate warm engine, with those tallies compiled out, next to a
+// full-fidelity warming path.  That build's tests proved the two paths equal
+// wherever a measurement looks: identical windows and estimates, identical
+// tag arrays and predictor state, for every feature mask and both engines.
+// Matching its output keeps that result without keeping either path:
 //
-//  * every measurement window is element-wise identical (same refs, same
-//    core cycles, same L1 access/hit deltas) — which transitively pins the
-//    window-start trace position and RNG state: one extra or missing RNG
-//    draw during a warm phase would shift every subsequent window's
-//    reference stream and change its counters on the first reference;
-//  * the IPC and L1-hit-rate estimates are bit-identical (integer deltas in,
-//    same doubles out), and the energy estimate agrees to FP-differencing
-//    noise (the elided-counter contribution to cumulative energy is equal
-//    in both boundary snapshots of a window, so it cancels in the delta —
-//    but the absolute magnitudes differ, so the subtraction reassociates);
-//  * all warm-relevant end-of-run structures are element-wise identical:
-//    every tag array's packed entries (tags, LRU, dirty, prefetched bits)
-//    and the full ReDHiP predictor state (CBF counters / PT rows and every
-//    PredictorEvents field, serialized through the checkpoint codec);
-//  * the per-core clocks agree (clocks only advance inside windows);
-//  * the observability epoch series agrees (epochs read L1 and predictor
-//    counters, all of which the warm engine keeps exact).
+//  * the whole json_report of the sampled run (windows, estimates,
+//    cumulative counters, and the obs epoch series in the obs row);
+//  * every tag array's packed entries (tags, LRU, dirty, prefetched bits)
+//    at the end of the run;
+//  * the full predictor state (CBF counters / PT rows and every
+//    PredictorEvents field) through the checkpoint codec.
 //
-// The TagArray operations themselves are untouched by the warm engine (it
-// calls the same lookup/fill/invalidate paths, only the surrounding tallies
-// are compiled out), so tagarray_fuzz.h's model coverage carries over
-// unchanged.
+// A tally that leaks out of a warm phase, or a counter that later
+// decisions read being restored with the tallies, changes the report hash;
+// any drift in the warmed state changes the tag or predictor hash.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bytestream.h"
+#include "common/fnv.h"
+#include "harness/json_report.h"
 #include "harness/run.h"
 #include "sim/sampling.h"
 #include "sim/simulator.h"
@@ -78,66 +71,39 @@ std::unique_ptr<MulticoreSimulator> build_sim(const RunSpec& spec) {
   return s;
 }
 
-std::vector<std::uint8_t> predictor_state(const MulticoreSimulator& sim) {
-  const LlcPredictor* p = sim.llc_predictor_for_test();
-  if (p == nullptr) return {};
-  ByteWriter w;
-  p->ckpt_save(w);
-  return w.buffer();
-}
+struct Fingerprint {
+  std::uint64_t report = 0;     // FNV-1a of to_json(result)
+  std::uint64_t tags = 0;       // FNV-1a of every level's ckpt_entries()
+  std::uint64_t predictor = 0;  // FNV-1a of the LLC predictor's ckpt_save
+};
 
-// Everything a window can see must match exactly; energy to FP noise.
-void expect_windows_identical(const SamplingReport& warm,
-                              const SamplingReport& full,
-                              const std::string& label) {
-  ASSERT_EQ(warm.windows, full.windows) << label;
-  ASSERT_EQ(warm.window_samples.size(), full.window_samples.size()) << label;
-  for (std::size_t i = 0; i < warm.window_samples.size(); ++i) {
-    const WindowSample& a = warm.window_samples[i];
-    const WindowSample& b = full.window_samples[i];
-    EXPECT_EQ(a.index, b.index) << label << " window " << i;
-    EXPECT_EQ(a.start_refs, b.start_refs) << label << " window " << i;
-    EXPECT_EQ(a.refs, b.refs) << label << " window " << i;
-    EXPECT_EQ(a.core_cycles, b.core_cycles) << label << " window " << i;
-    EXPECT_EQ(a.l1_accesses, b.l1_accesses) << label << " window " << i;
-    EXPECT_EQ(a.l1_hits, b.l1_hits) << label << " window " << i;
-    EXPECT_NEAR(a.energy_j, b.energy_j,
-                1e-9 * std::max(std::abs(b.energy_j), 1.0))
-        << label << " window " << i;
-  }
-  // Integer deltas in, identical doubles out.
-  EXPECT_EQ(warm.ipc.mean, full.ipc.mean) << label;
-  EXPECT_EQ(warm.ipc.ci95_half, full.ipc.ci95_half) << label;
-  EXPECT_EQ(warm.l1_hit_rate.mean, full.l1_hit_rate.mean) << label;
-  EXPECT_EQ(warm.l1_hit_rate.ci95_half, full.l1_hit_rate.ci95_half) << label;
-  EXPECT_NEAR(warm.total_energy_j.mean, full.total_energy_j.mean,
-              1e-9 * std::max(std::abs(full.total_energy_j.mean), 1.0))
-      << label;
-  // Phase totals: the two modes walk the identical skip/warm/measure
-  // schedule.
-  EXPECT_EQ(warm.skipped_refs, full.skipped_refs) << label;
-  EXPECT_EQ(warm.warmed_refs, full.warmed_refs) << label;
-  EXPECT_EQ(warm.measured_refs, full.measured_refs) << label;
-}
-
-void expect_state_identical(const MulticoreSimulator& warm,
-                            const MulticoreSimulator& full,
-                            const std::string& label) {
-  const std::uint32_t n = warm.config().num_levels();
-  const std::uint32_t cores = warm.config().cores;
+Fingerprint fingerprint(const RunSpec& spec) {
+  auto sim = build_sim(spec);
+  const SimResult r = spec.engine == SimEngine::kFast
+                          ? sim->run(spec.refs_per_core)
+                          : sim->run_reference(spec.refs_per_core);
+  Fingerprint f;
+  const std::string json = to_json(r);
+  f.report = fnv1a(json.data(), json.size());
+  Fnv1a tags;
+  const std::uint32_t n = sim->config().num_levels();
   for (std::uint32_t lvl = 0; lvl < n; ++lvl) {
+    // The shared LLC is one array whichever core names it.
+    const CoreId cores = lvl + 1 == n ? 1 : sim->config().cores;
     for (CoreId c = 0; c < cores; ++c) {
-      const TagArray& a = warm.level_array_for_test(lvl, c);
-      const TagArray& b = full.level_array_for_test(lvl, c);
-      ASSERT_EQ(a.ckpt_entries().size(), b.ckpt_entries().size())
-          << label << " L" << lvl + 1 << " core " << c;
-      EXPECT_EQ(a.ckpt_entries(), b.ckpt_entries())
-          << label << " L" << lvl + 1 << " core " << c
-          << ": tag/LRU/dirty state diverged";
+      for (const std::uint64_t e :
+           sim->level_array_for_test(lvl, c).ckpt_entries()) {
+        tags.u64(e);
+      }
     }
   }
-  EXPECT_EQ(predictor_state(warm), predictor_state(full))
-      << label << ": predictor CBF/PT state or events diverged";
+  f.tags = tags.digest();
+  if (const LlcPredictor* p = sim->llc_predictor_for_test()) {
+    ByteWriter w;
+    p->ckpt_save(w);
+    f.predictor = fnv1a(w.buffer().data(), w.buffer().size());
+  }
+  return f;
 }
 
 struct Mask {
@@ -154,143 +120,118 @@ struct Mask {
   }
 };
 
-// The run loop's specialization axes that compose with sampling (fault
-// injection is rejected by set_sampling): prefetch x auto-disable x
-// inclusion policy.  Every access path the warm engine templates is on
-// this grid — inclusive/hybrid/exclusive traversals, the prefetch filter
-// and fill chain, and the auto-disable epoch reads of L1 + predictor
-// counters (which must see identical values in both modes or gate
-// decisions would diverge).  config.cc restricts the composition —
-// prefetching is modeled for the inclusive hierarchy only, auto-disable
-// for the single-LLC-predictor (inclusive/hybrid) policies — so this is
-// the complete feasible grid, not a sample of it.
-std::vector<Mask> masks() {
-  return {
-      {false, false, InclusionPolicy::kInclusive},
-      {true, false, InclusionPolicy::kInclusive},
-      {false, true, InclusionPolicy::kInclusive},
-      {true, true, InclusionPolicy::kInclusive},
-      {false, false, InclusionPolicy::kHybrid},
-      {false, true, InclusionPolicy::kHybrid},
-      {false, false, InclusionPolicy::kExclusive},
-  };
-}
+// The feature axes that compose with sampling (fault injection is rejected
+// by set_sampling): prefetch x auto-disable x inclusion policy.  config.cc
+// models prefetching for the inclusive hierarchy only and auto-disable for
+// the single-LLC-predictor (inclusive/hybrid) policies, so these seven are
+// the complete feasible grid.
+const Mask kMasks[] = {
+    {false, false, InclusionPolicy::kInclusive},
+    {true, false, InclusionPolicy::kInclusive},
+    {false, true, InclusionPolicy::kInclusive},
+    {true, true, InclusionPolicy::kInclusive},
+    {false, false, InclusionPolicy::kHybrid},
+    {false, true, InclusionPolicy::kHybrid},
+    {false, false, InclusionPolicy::kExclusive},
+};
 
-RunSpec spec_for_mask(const Mask& m) {
+RunSpec spec_for_mask(const Mask& m, SimEngine engine) {
   RunSpec spec = base_spec();
+  spec.engine = engine;
   spec.prefetch = m.prefetch;
   spec.inclusion = m.inclusion;
   if (m.auto_disable) {
+    // Epochs tick only inside windows (6 x 800 refs x 8 cores = 38.4k), so
+    // short epochs and an unreachable bypass floor make the gate flip, and
+    // each re-enable recalibrate, within the run.
     spec.tweak = [](HierarchyConfig& hc) {
       hc.auto_disable.enabled = true;
-      hc.auto_disable.epoch_refs = 50'000;
+      hc.auto_disable.epoch_refs = 2'000;
+      hc.auto_disable.min_bypass_ppm = 1'000'000;
     };
   }
   return spec;
 }
 
-TEST(WarmEngine, EquivalentToFullFidelityWarmingAcrossFeatureMasks) {
-  for (const Mask& m : masks()) {
-    RunSpec spec = spec_for_mask(m);
-    spec.sampling.warm_mode = SampleWarmMode::kWarm;
-    auto warm_sim = build_sim(spec);
-    const SimResult warm = warm_sim->run(spec.refs_per_core);
-
-    spec.sampling.warm_mode = SampleWarmMode::kFull;
-    auto full_sim = build_sim(spec);
-    const SimResult full = full_sim->run(spec.refs_per_core);
-
-    expect_windows_identical(warm.sampling, full.sampling, m.name());
-    expect_state_identical(*warm_sim, *full_sim, m.name());
-    // Clocks advance only inside windows; equality here means every window
-    // simulated the identical reference stream from identical state.
-    EXPECT_EQ(warm.core_cycles, full.core_cycles) << m.name();
-    EXPECT_EQ(warm.exec_cycles, full.exec_cycles) << m.name();
-    EXPECT_EQ(warm.total_refs, full.total_refs) << m.name();
-    // L1 events and all predictor events are exact under the warm engine
-    // (snapshots, auto-disable and obs epochs read them); deeper-level
-    // events are the documented elision.
-    ASSERT_FALSE(warm.levels.empty());
-    EXPECT_EQ(warm.levels[0].accesses, full.levels[0].accesses) << m.name();
-    EXPECT_EQ(warm.levels[0].hits, full.levels[0].hits) << m.name();
-    EXPECT_EQ(warm.levels[0].misses, full.levels[0].misses) << m.name();
-    EXPECT_EQ(warm.predictor, full.predictor) << m.name();
-    EXPECT_EQ(warm.recal_stall_cycles, full.recal_stall_cycles) << m.name();
-    EXPECT_EQ(warm.predictor_disabled_refs, full.predictor_disabled_refs)
-        << m.name();
-  }
+void expect_pinned(const RunSpec& spec, const Fingerprint& pin,
+                   const std::string& row) {
+  const Fingerprint f = fingerprint(spec);
+  EXPECT_EQ(f.report, pin.report) << row << ": report 0x" << std::hex
+                                  << f.report;
+  EXPECT_EQ(f.tags, pin.tags) << row << ": tag arrays 0x" << std::hex
+                              << f.tags;
+  EXPECT_EQ(f.predictor, pin.predictor) << row << ": predictor 0x"
+                                        << std::hex << f.predictor;
 }
 
-TEST(WarmEngine, EquivalentAcrossEngines) {
-  // One predictor-rich mask, both engines: the warm loop is shared by
-  // run/run_reference through run_sampled, so each engine's
-  // sampled report must be warm/full-invariant (and engines must agree
-  // with each other, which engine_equivalence_test pins for exact runs).
-  RunSpec spec = base_spec();
-  spec.prefetch = true;
+// kPins[2 * mask + engine], engine 0 = fast, 1 = reference.  The exclusive
+// hierarchy has no shared-LLC predictor, hence a 0 predictor hash.
+const Fingerprint kPins[] = {
+    {0xc6229ddaa4730770ull, 0x54f28b52302bf939ull,
+     0xfdb231eb8eaf840aull},  // incl-pf-ad/fast
+    {0xc6229ddaa4730770ull, 0x54f28b52302bf939ull,
+     0xfdb231eb8eaf840aull},  // incl-pf-ad/reference
+    {0x721393d8746f04d2ull, 0x86428f522f107d27ull,
+     0xdb5a91f547e5b827ull},  // incl+pf-ad/fast
+    {0x721393d8746f04d2ull, 0x86428f522f107d27ull,
+     0xdb5a91f547e5b827ull},  // incl+pf-ad/reference
+    {0x1166c3f43fd5b7c9ull, 0x330e1c890ec504b5ull,
+     0x38ffe68267f47c2full},  // incl-pf+ad/fast
+    {0x1166c3f43fd5b7c9ull, 0x330e1c890ec504b5ull,
+     0x38ffe68267f47c2full},  // incl-pf+ad/reference
+    {0x25e21c7e81abf6a3ull, 0x11ac19375bde0e17ull,
+     0x1066502e11a670c1ull},  // incl+pf+ad/fast
+    {0x25e21c7e81abf6a3ull, 0x11ac19375bde0e17ull,
+     0x1066502e11a670c1ull},  // incl+pf+ad/reference
+    {0x30ab37277bb0f721ull, 0xcd3f19f7968a9e91ull,
+     0xfdb231eb8eaf840aull},  // hybr-pf-ad/fast
+    {0x30ab37277bb0f721ull, 0xcd3f19f7968a9e91ull,
+     0xfdb231eb8eaf840aull},  // hybr-pf-ad/reference
+    {0xce1ee3e53ccfeb6cull, 0x36d303303bb9b859ull,
+     0xe138cdd2be3c0fd2ull},  // hybr-pf+ad/fast
+    {0xce1ee3e53ccfeb6cull, 0x36d303303bb9b859ull,
+     0xe138cdd2be3c0fd2ull},  // hybr-pf+ad/reference
+    {0xfeb8d5ef8b83a74full, 0xd8c7d72b6202cf57ull,
+     0},  // excl-pf-ad/fast
+    {0xfeb8d5ef8b83a74full, 0xd8c7d72b6202cf57ull,
+     0},  // excl-pf-ad/reference
+};
 
-  for (int engine = 0; engine < 2; ++engine) {
-    const char* name = engine == 0 ? "fast" : "ref";
-    SimResult results[2];
-    std::unique_ptr<MulticoreSimulator> sims[2];
-    for (int mode = 0; mode < 2; ++mode) {
-      spec.sampling.warm_mode =
-          mode == 0 ? SampleWarmMode::kWarm : SampleWarmMode::kFull;
-      sims[mode] = build_sim(spec);
-      results[mode] = engine == 0
-                          ? sims[mode]->run(spec.refs_per_core)
-                          : sims[mode]->run_reference(spec.refs_per_core);
+TEST(WarmEngine, PinnedAcrossFeatureMasksAndEngines) {
+  for (std::size_t m = 0; m < std::size(kMasks); ++m) {
+    for (const SimEngine engine : {SimEngine::kFast, SimEngine::kReference}) {
+      const std::size_t e = engine == SimEngine::kFast ? 0 : 1;
+      expect_pinned(spec_for_mask(kMasks[m], engine), kPins[2 * m + e],
+                    kMasks[m].name() + "/" + engine_name(engine));
     }
-    expect_windows_identical(results[0].sampling, results[1].sampling, name);
-    expect_state_identical(*sims[0], *sims[1], name);
-    EXPECT_EQ(results[0].core_cycles, results[1].core_cycles) << name;
   }
 }
 
-TEST(WarmEngine, ObsEpochSeriesIsWarmModeInvariant) {
-  // The observability epoch series samples L1 and predictor counters — all
-  // kept exact by the warm engine — so a sampled run's epoch series must
-  // not depend on the warm mode.  (Epoch refs tick only inside windows,
-  // where both modes run the identical full-fidelity loop.)
+TEST(WarmEngine, PinnedWithObsEnabled) {
+  // Epochs close only at window boundaries and inside windows; the series
+  // (part of the report) reads L1 and predictor counters, which warming
+  // keeps.
   RunSpec spec = base_spec();
-  SimResult results[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    spec.sampling.warm_mode =
-        mode == 0 ? SampleWarmMode::kWarm : SampleWarmMode::kFull;
-    spec.tweak = [](HierarchyConfig& hc) {
-      hc.obs.enabled = true;
-      hc.obs.epoch_refs = 40'000;
-    };
-    results[mode] = run_spec(spec);
-  }
-  EXPECT_EQ(results[0].epochs, results[1].epochs);
-  expect_windows_identical(results[0].sampling, results[1].sampling, "obs");
+  spec.tweak = [](HierarchyConfig& hc) {
+    hc.obs.enabled = true;
+    hc.obs.epoch_refs = 40'000;
+  };
+  expect_pinned(spec,
+                {0xdbfa87b301d65adcull, 0x54f28b52302bf939ull,
+                 0xfdb231eb8eaf840aull},
+                "obs");
 }
 
-TEST(WarmEngine, FullModeMatchesPrePrSampledDigest) {
-  // --sample-warm-mode=full must be bit-identical to pre-warm-engine
-  // sampled runs; the artifact keys are part of that contract.  A full-mode
-  // plan's digest must not mention warm_mode at all (same bytes as before
-  // the field existed), while the warm default digests differently so
-  // checkpoints and sweep cells never cross-restore between modes.
-  SamplingPlan full;
-  full.mode = SampleMode::kInterval;
-  full.period_refs = 1'000'000;
-  full.window_refs = 10'000;
-  full.warmup_refs = 100'000;
-  full.warm_mode = SampleWarmMode::kFull;
-
-  // Pre-PR value of this plan's digest, recorded before warm_mode existed.
-  // kFull must keep hashing to exactly this so existing checkpoint files
-  // and sweep cache cells stay addressable.
-  EXPECT_EQ(sampling_digest(full), 0xa2a62033951dd283ull);
-
-  SamplingPlan warm = full;
-  warm.warm_mode = SampleWarmMode::kWarm;
-  EXPECT_NE(sampling_digest(warm), sampling_digest(full));
-
-  SamplingPlan off;
-  EXPECT_EQ(sampling_digest(off), 0u);
+TEST(WarmEngine, DefaultPlanDigestPinned) {
+  // Checkpoint keys, sweep cache cells and window snapshot names all fold
+  // this digest, so it must not move.
+  SamplingPlan plan;
+  plan.mode = SampleMode::kInterval;
+  plan.period_refs = 1'000'000;
+  plan.window_refs = 10'000;
+  plan.warmup_refs = 100'000;
+  EXPECT_EQ(sampling_digest(plan), 0xf60c87b7f960bff4ull);
+  EXPECT_EQ(sampling_digest(SamplingPlan{}), 0u);
 }
 
 TEST(WarmEngine, WindowSnapshotPathDerivation) {
