@@ -12,8 +12,7 @@ using namespace redhip;
 
 int main(int argc, char** argv) {
   CliOptions opts(argc, argv);
-  const std::uint32_t scale =
-      static_cast<std::uint32_t>(opts.get_int("scale", 1));
+  const std::uint32_t scale = opts.get_uint32("scale", 1);
   const HierarchyConfig c = HierarchyConfig::scaled(scale, Scheme::kRedhip);
 
   std::printf("Table I — architecture parameters (scale 1/%u)\n", scale);

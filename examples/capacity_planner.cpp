@@ -16,18 +16,13 @@
 
 using namespace redhip;
 
-int main(int argc, char** argv) {
-  CliOptions opts(argc, argv);
-  const std::uint32_t scale =
-      static_cast<std::uint32_t>(opts.get_int("scale", 8));
-  const std::uint64_t refs =
-      static_cast<std::uint64_t>(opts.get_int("refs", 200'000));
-  const std::string bench_name = opts.get("bench", "milc");
+namespace {
 
-  BenchmarkId bench = BenchmarkId::kMilc;
-  for (BenchmarkId id : all_benchmarks()) {
-    if (to_string(id) == bench_name) bench = id;
-  }
+int planner_main(int argc, char** argv) {
+  CliOptions opts(argc, argv);
+  const std::uint32_t scale = opts.get_uint32("scale", 8);
+  const std::uint64_t refs = opts.get_uint64("refs", 200'000);
+  const BenchmarkId bench = parse_benchmark(opts.get("bench", "milc")).value();
 
   RunSpec spec;
   spec.bench = bench;
@@ -90,4 +85,10 @@ int main(int argc, char** argv) {
       "paper's choice: 512K / 1M — \"the prediction accuracy gain starts to "
       "become marginal when the table size goes beyond 512KB\"\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_cli_main("capacity_planner", planner_main, argc, argv);
 }

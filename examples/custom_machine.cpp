@@ -47,14 +47,14 @@ recal_mode = rolling
 banks = 4
 )";
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int custom_machine_main(int argc, char** argv) {
   CliOptions opts(argc, argv);
   std::string path = opts.get("config", "");
-  const std::string bench_name = opts.get("bench", "milc");
-  const std::uint64_t refs =
-      static_cast<std::uint64_t>(opts.get_int("refs", 200'000));
+  const BenchmarkId bench = parse_benchmark(opts.get("bench", "milc")).value();
+  const std::uint64_t refs = opts.get_uint64("refs", 200'000);
+  // Workload working sets follow --scale (independent of the machine
+  // definition).
+  const std::uint32_t ws_scale = opts.get_uint32("scale", 8);
 
   if (path.empty()) {
     path = "/tmp/redhip_sample_machine.cfg";
@@ -66,18 +66,10 @@ int main(int argc, char** argv) {
   }
   HierarchyConfig config = load_config_file(path);
 
-  BenchmarkId bench = BenchmarkId::kMilc;
-  for (BenchmarkId id : all_benchmarks()) {
-    if (to_string(id) == bench_name) bench = id;
-  }
-
   std::printf("machine from %s:\n%s\n", path.c_str(),
               config_to_text(config).c_str());
 
-  // Run Base and the configured scheme on this machine.  Workload working
-  // sets follow --scale (independent of the machine definition).
-  const std::uint32_t ws_scale =
-      static_cast<std::uint32_t>(opts.get_int("scale", 8));
+  // Run Base and the configured scheme on this machine.
   auto run_with = [&](Scheme scheme) {
     HierarchyConfig c = config;
     c.scheme = scheme;
@@ -110,4 +102,10 @@ int main(int argc, char** argv) {
   t.add_row({"bypasses", std::to_string(pred.predictor.predicted_absent)});
   t.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_cli_main("custom_machine", custom_machine_main, argc, argv);
 }

@@ -54,14 +54,10 @@ void study(BenchmarkId bench, std::uint32_t scale, std::uint64_t refs) {
   std::printf("\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int prefetch_combo_main(int argc, char** argv) {
   CliOptions opts(argc, argv);
-  const std::uint32_t scale =
-      static_cast<std::uint32_t>(opts.get_int("scale", 8));
-  const std::uint64_t refs =
-      static_cast<std::uint64_t>(opts.get_int("refs", 300'000));
+  const std::uint32_t scale = opts.get_uint32("scale", 8);
+  const std::uint64_t refs = opts.get_uint64("refs", 300'000);
 
   std::printf(
       "Prefetching x ReDHiP (paper §V-C): complementary mechanisms\n\n");
@@ -73,4 +69,10 @@ int main(int argc, char** argv) {
       "one;\ncombined they add on performance while ReDHiP offsets part of "
       "SP's energy cost.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_cli_main("prefetch_combo", prefetch_combo_main, argc, argv);
 }

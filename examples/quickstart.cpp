@@ -36,11 +36,9 @@
 // crash-recovery job SIGKILLs this binary mid-run and cmp's the reports.
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <string>
 
 #include "ckpt/checkpoint_io.h"
-#include "common/check.h"
 #include "common/cli.h"
 #include "common/file_io.h"
 #include "harness/json_report.h"
@@ -53,8 +51,7 @@ namespace {
 
 int quickstart_main(int argc, char** argv) {
   CliOptions opts(argc, argv);
-  const std::uint32_t scale =
-      static_cast<std::uint32_t>(opts.get_int("scale", 8));
+  const std::uint32_t scale = opts.get_uint32("scale", 8);
   const std::uint64_t refs = opts.get_uint64("refs", 200'000);
   const std::string bench_name = opts.get("bench", "mcf");
   const std::string trace_events = opts.get("trace-events", "");
@@ -64,12 +61,7 @@ int quickstart_main(int argc, char** argv) {
   const bool ckpt_restore = opts.get_bool("ckpt-restore", false);
   const SamplingPlan sampling = parse_sampling_plan(opts);
 
-  const auto& benches = all_benchmarks();
-  const auto it = std::find_if(
-      benches.begin(), benches.end(),
-      [&](BenchmarkId id) { return to_string(id) == bench_name; });
-  REDHIP_CHECK_MSG(it != benches.end(), "unknown benchmark: " + bench_name);
-  const BenchmarkId bench = *it;
+  const BenchmarkId bench = parse_benchmark(bench_name).value();
 
   // Catch SIGTERM/SIGINT from the start: a stop request during the Base leg
   // (which never polls) must not kill the process with the default action —
@@ -186,13 +178,6 @@ int quickstart_main(int argc, char** argv) {
 
 }  // namespace
 
-// Any error, usage errors (a malformed number, an unknown workload or mode)
-// included, exits 2 with its diagnostic instead of aborting.
 int main(int argc, char** argv) {
-  try {
-    return quickstart_main(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "quickstart: %s\n", e.what());
-    return 2;
-  }
+  return run_cli_main("quickstart", quickstart_main, argc, argv);
 }

@@ -15,12 +15,13 @@
 
 using namespace redhip;
 
-int main(int argc, char** argv) {
+namespace {
+
+int mix_study_main(int argc, char** argv) {
   CliOptions opts(argc, argv);
   RunSpec spec;
-  spec.scale = static_cast<std::uint32_t>(opts.get_int("scale", 8));
-  spec.refs_per_core =
-      static_cast<std::uint64_t>(opts.get_int("refs", 300'000));
+  spec.scale = opts.get_uint32("scale", 8);
+  spec.refs_per_core = opts.get_uint64("refs", 300'000);
 
   std::printf(
       "Multiprogramming study: each SPEC profile duplicated 8x, then the "
@@ -50,4 +51,10 @@ int main(int argc, char** argv) {
       "(high offchip fraction)\ngive ReDHiP the most to bypass; the mix row "
       "shows the effect of heterogeneous LLC contention.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_cli_main("spec_mix_study", mix_study_main, argc, argv);
 }

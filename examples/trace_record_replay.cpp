@@ -20,19 +20,15 @@
 
 using namespace redhip;
 
-int main(int argc, char** argv) {
-  CliOptions opts(argc, argv);
-  const std::uint32_t scale =
-      static_cast<std::uint32_t>(opts.get_int("scale", 16));
-  const std::uint64_t refs =
-      static_cast<std::uint64_t>(opts.get_int("refs", 100'000));
-  const std::string bench_name = opts.get("bench", "soplex");
-  const std::string dir = opts.get("dir", "/tmp");
+namespace {
 
-  BenchmarkId bench = BenchmarkId::kSoplex;
-  for (BenchmarkId id : all_benchmarks()) {
-    if (to_string(id) == bench_name) bench = id;
-  }
+int record_replay_main(int argc, char** argv) {
+  CliOptions opts(argc, argv);
+  const std::uint32_t scale = opts.get_uint32("scale", 16);
+  const std::uint64_t refs = opts.get_uint64("refs", 100'000);
+  const BenchmarkId bench =
+      parse_benchmark(opts.get("bench", "soplex")).value();
+  const std::string dir = opts.get("dir", "/tmp");
   const HierarchyConfig config =
       HierarchyConfig::scaled(scale, Scheme::kRedhip);
 
@@ -91,4 +87,10 @@ int main(int argc, char** argv) {
 
   for (const auto& p : paths) std::remove(p.c_str());
   return identical ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_cli_main("trace_record_replay", record_replay_main, argc, argv);
 }

@@ -27,18 +27,11 @@ using namespace redhip;
 namespace {
 
 int cmd_gen(const CliOptions& opts, const std::string& out) {
-  const std::string bench_name = opts.get("bench", "mcf");
-  BenchmarkId bench = BenchmarkId::kMcf;
-  for (BenchmarkId id : all_benchmarks()) {
-    if (to_string(id) == bench_name) bench = id;
-  }
-  const CoreId core = static_cast<CoreId>(opts.get_int("core", 0));
-  const std::uint64_t refs =
-      static_cast<std::uint64_t>(opts.get_int("refs", 100'000));
-  const std::uint32_t scale =
-      static_cast<std::uint32_t>(opts.get_int("scale", 8));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 42));
+  const BenchmarkId bench = parse_benchmark(opts.get("bench", "mcf")).value();
+  const CoreId core = opts.get_uint32("core", 0);
+  const std::uint64_t refs = opts.get_uint64("refs", 100'000);
+  const std::uint32_t scale = opts.get_uint32("scale", 8);
+  const std::uint64_t seed = opts.get_uint64("seed", 42);
 
   auto src = make_workload(bench, core, scale, seed);
   TraceWriter writer(out);
@@ -121,9 +114,7 @@ int cmd_convert(const std::string& in, const std::string& out) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int trace_tool_main(int argc, char** argv) {
   CliOptions opts(argc, argv);
   const auto& pos = opts.positional();
   const std::string cmd = pos.empty() ? "demo" : pos[0];
@@ -151,4 +142,10 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "unknown command '%s' (gen | info | convert)\n",
                cmd.c_str());
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_cli_main("trace_tool", trace_tool_main, argc, argv);
 }

@@ -3,7 +3,9 @@
 #include <cctype>
 #include <cerrno>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 namespace redhip {
 namespace {
@@ -136,6 +138,13 @@ std::uint64_t CliOptions::get_uint64(const std::string& name,
   return try_get_uint64(name, def).value();
 }
 
+std::uint32_t CliOptions::get_uint32(const std::string& name,
+                                     std::uint32_t def) const {
+  const std::string v = get(name, "");
+  if (v.empty()) return def;
+  return parse_integer<std::uint32_t>(name, v).value();
+}
+
 double CliOptions::get_double(const std::string& name, double def) const {
   return try_get_double(name, def).value();
 }
@@ -149,6 +158,16 @@ bool CliOptions::get_bool(const std::string& name, bool def) const {
 bool CliOptions::has(const std::string& name) const {
   if (values_.count(name)) return true;
   return std::getenv(to_env_name(env_prefix_, name).c_str()) != nullptr;
+}
+
+int run_cli_main(const char* name, int (*body)(int, char**), int argc,
+                 char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", name, e.what());
+    return 2;
+  }
 }
 
 }  // namespace redhip

@@ -44,6 +44,9 @@ class CliOptions {
   // bench mains surface as a usage error.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   std::uint64_t get_uint64(const std::string& name, std::uint64_t def) const;
+  // For 32-bit fields (--scale, --core): a value past 2^32-1 is out of
+  // range, not truncated.
+  std::uint32_t get_uint32(const std::string& name, std::uint32_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
   bool has(const std::string& name) const;
@@ -65,5 +68,11 @@ class CliOptions {
   std::map<std::string, std::vector<std::string>> values_;
   std::vector<std::string> positional_;
 };
+
+// main() of the example programs: runs `body` and turns any exception that
+// escapes it (a malformed number, an unknown workload, a bad config line)
+// into `name: what()` on stderr and exit code 2, instead of an abort.
+int run_cli_main(const char* name, int (*body)(int, char**), int argc,
+                 char** argv);
 
 }  // namespace redhip

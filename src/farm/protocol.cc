@@ -74,13 +74,13 @@ Status malformed(const char* what) {
 }
 
 BenchmarkId bench_by_name(const std::string& name) {
-  for (BenchmarkId id : all_benchmarks()) {
-    if (to_string(id) == name) return id;
+  Result<BenchmarkId> id = parse_benchmark(name);
+  if (!id.ok()) {
+    Status(StatusCode::kInvalidArgument,
+           "farm job: " + id.status().message() + " (build drift?)")
+        .throw_if_error();
   }
-  Status(StatusCode::kInvalidArgument, "farm job: unknown benchmark '" +
-                                           name + "' (build drift?)")
-      .throw_if_error();
-  return BenchmarkId::kBwaves;  // unreachable
+  return id.value();
 }
 
 }  // namespace

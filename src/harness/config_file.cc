@@ -1,8 +1,11 @@
 #include "harness/config_file.h"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "common/check.h"
 #include "energy/cacti_lite.h"
@@ -28,29 +31,34 @@ std::string lower(std::string s) {
   return s;
 }
 
-// "32K" / "4M" / "1G" / plain integers.  `key` makes the diagnostic name
-// the offending key, not just the line.
-std::uint64_t parse_size(const std::string& v, int line_no,
-                         const std::string& key) {
+// "32K" / "4M" / "1G" / plain unsigned integers into `field`.  `key` makes
+// the diagnostic name the offending key, not just the line.  A sign, a
+// value past 2^64-1 after the suffix multiply, or one the field's type
+// cannot hold is an error, never a silent wrap.
+template <typename T>
+void parse_size(T& field, const std::string& v, int line_no,
+                const std::string& key) {
   if (v.empty()) fail(line_no, "key '" + key + "': empty numeric value");
   std::uint64_t mult = 1;
-  std::string digits = v;
+  std::string_view digits = v;
   const char suffix = static_cast<char>(std::toupper(v.back()));
   if (suffix == 'K' || suffix == 'M' || suffix == 'G') {
     mult = suffix == 'K' ? 1_KiB : suffix == 'M' ? 1_MiB : 1_GiB;
-    digits = v.substr(0, v.size() - 1);
+    digits.remove_suffix(1);
   }
   std::uint64_t parsed = 0;
-  std::size_t pos = 0;
-  try {
-    parsed = std::stoull(digits, &pos);
-  } catch (const std::exception&) {
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, parsed);
+  if (ec == std::errc::result_out_of_range ||
+      (ec == std::errc() && ptr == end &&
+       parsed > std::numeric_limits<T>::max() / mult)) {
+    fail(line_no, "key '" + key + "': value out of range: " + v + " (max " +
+                      std::to_string(std::numeric_limits<T>::max()) + ")");
+  }
+  if (ec != std::errc() || ptr != end) {
     fail(line_no, "key '" + key + "': bad numeric value: " + v);
   }
-  if (pos != digits.size()) {
-    fail(line_no, "key '" + key + "': bad numeric value: " + v);
-  }
-  return parsed * mult;
+  field = static_cast<T>(parsed * mult);
 }
 
 double parse_double(const std::string& v, int line_no,
@@ -163,7 +171,7 @@ HierarchyConfig parse_config_text(const std::string& text) {
 
     if (section.empty()) {
       if (key == "cores") {
-        c.cores = static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(c.cores, value, line_no, key);
       } else if (key == "freq_ghz") {
         c.freq_ghz = parse_double(value, line_no, key);
       } else if (key == "scheme") {
@@ -171,7 +179,7 @@ HierarchyConfig parse_config_text(const std::string& text) {
       } else if (key == "inclusion") {
         c.inclusion = parse_inclusion(value, line_no);
       } else if (key == "memory_latency") {
-        c.memory_latency = parse_size(value, line_no, key);
+        parse_size(c.memory_latency, value, line_no, key);
       } else if (key == "memory_energy_nj") {
         c.memory_energy_nj = parse_double(value, line_no, key);
       } else if (key == "prefetch") {
@@ -181,21 +189,20 @@ HierarchyConfig parse_config_text(const std::string& text) {
       } else if (key == "model_writebacks") {
         c.model_writebacks = parse_bool(value, line_no, key);
       } else if (key == "seed") {
-        c.seed = parse_size(value, line_no, key);
+        parse_size(c.seed, value, line_no, key);
       } else {
         fail(line_no, "unknown key: " + key);
       }
     } else if (section == "level") {
       PendingLevel& pl = levels.back();
       if (key == "size") {
-        pl.geom.size_bytes = parse_size(value, line_no, key);
+        parse_size(pl.geom.size_bytes, value, line_no, key);
       } else if (key == "ways") {
-        pl.geom.ways = static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(pl.geom.ways, value, line_no, key);
       } else if (key == "banks") {
-        pl.geom.banks = static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(pl.geom.banks, value, line_no, key);
       } else if (key == "line_bytes") {
-        pl.geom.line_bytes =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(pl.geom.line_bytes, value, line_no, key);
       } else if (key == "replacement") {
         pl.geom.replacement = parse_replacement(value, line_no);
       } else if (key == "phased") {
@@ -207,12 +214,11 @@ HierarchyConfig parse_config_text(const std::string& text) {
       }
     } else if (section == "redhip") {
       if (key == "table_bits") {
-        c.redhip.table_bits = parse_size(value, line_no, key);
+        parse_size(c.redhip.table_bits, value, line_no, key);
       } else if (key == "recal_interval") {
-        c.redhip.recal_interval_l1_misses = parse_size(value, line_no, key);
+        parse_size(c.redhip.recal_interval_l1_misses, value, line_no, key);
       } else if (key == "banks") {
-        c.redhip.banks =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(c.redhip.banks, value, line_no, key);
       } else if (key == "recal_mode") {
         const std::string l = lower(value);
         if (l == "batch") {
@@ -227,31 +233,25 @@ HierarchyConfig parse_config_text(const std::string& text) {
       }
     } else if (section == "cbf") {
       if (key == "index_bits") {
-        c.cbf.index_bits =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(c.cbf.index_bits, value, line_no, key);
       } else if (key == "counter_bits") {
-        c.cbf.counter_bits =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(c.cbf.counter_bits, value, line_no, key);
       } else {
         fail(line_no, "unknown [cbf] key: " + key);
       }
     } else if (section == "partial_tag") {
       if (key == "partial_bits") {
-        c.partial_tag.partial_bits =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(c.partial_tag.partial_bits, value, line_no, key);
       } else {
         fail(line_no, "unknown [partial_tag] key: " + key);
       }
     } else if (section == "prefetcher") {
       if (key == "index_bits") {
-        c.prefetcher.index_bits =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(c.prefetcher.index_bits, value, line_no, key);
       } else if (key == "degree") {
-        c.prefetcher.degree =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(c.prefetcher.degree, value, line_no, key);
       } else if (key == "distance") {
-        c.prefetcher.distance =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(c.prefetcher.distance, value, line_no, key);
       } else {
         fail(line_no, "unknown [prefetcher] key: " + key);
       }
@@ -259,8 +259,7 @@ HierarchyConfig parse_config_text(const std::string& text) {
       if (key == "enabled") {
         c.fault.enabled = parse_bool(value, line_no, key);
       } else if (key == "rate_per_mref") {
-        c.fault.rate_per_mref =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(c.fault.rate_per_mref, value, line_no, key);
       } else if (key == "sites") {
         try {
           c.fault.site_mask = parse_fault_sites(value);
@@ -268,7 +267,7 @@ HierarchyConfig parse_config_text(const std::string& text) {
           fail(line_no, "key 'sites': " + std::string(e.what()));
         }
       } else if (key == "seed") {
-        c.fault.seed = parse_size(value, line_no, key);
+        parse_size(c.fault.seed, value, line_no, key);
       } else if (key == "transient") {
         c.fault.transient = parse_bool(value, line_no, key);
       } else {
@@ -295,9 +294,9 @@ HierarchyConfig parse_config_text(const std::string& text) {
       if (key == "enabled") {
         c.obs.enabled = parse_bool(value, line_no, key);
       } else if (key == "epoch_refs") {
-        c.obs.epoch_refs = parse_size(value, line_no, key);
+        parse_size(c.obs.epoch_refs, value, line_no, key);
       } else if (key == "epoch_cycles") {
-        c.obs.epoch_cycles = parse_size(value, line_no, key);
+        parse_size(c.obs.epoch_cycles, value, line_no, key);
       } else if (key == "trace_path") {
         c.obs.trace_path = value;
       } else if (key == "timing") {
@@ -309,13 +308,11 @@ HierarchyConfig parse_config_text(const std::string& text) {
       if (key == "enabled") {
         c.auto_disable.enabled = parse_bool(value, line_no, key);
       } else if (key == "epoch_refs") {
-        c.auto_disable.epoch_refs = parse_size(value, line_no, key);
+        parse_size(c.auto_disable.epoch_refs, value, line_no, key);
       } else if (key == "min_l1_miss_ppm") {
-        c.auto_disable.min_l1_miss_ppm =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(c.auto_disable.min_l1_miss_ppm, value, line_no, key);
       } else if (key == "min_bypass_ppm") {
-        c.auto_disable.min_bypass_ppm =
-            static_cast<std::uint32_t>(parse_size(value, line_no, key));
+        parse_size(c.auto_disable.min_bypass_ppm, value, line_no, key);
       } else {
         fail(line_no, "unknown [auto_disable] key: " + key);
       }

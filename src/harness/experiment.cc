@@ -13,7 +13,7 @@ namespace redhip {
 
 ExperimentOptions ExperimentOptions::parse(const CliOptions& cli) {
   ExperimentOptions o;
-  o.scale = static_cast<std::uint32_t>(cli.get_int("scale", 8));
+  o.scale = cli.get_uint32("scale", 8);
   o.refs_per_core = cli.get_uint64("refs", 1'000'000);
   o.seed = cli.get_uint64("seed", 42);
   o.csv = cli.get_bool("csv", false);
@@ -33,10 +33,9 @@ ExperimentOptions ExperimentOptions::parse(const CliOptions& cli) {
   if (bench.empty()) {
     o.benches = all_benchmarks();
   } else {
-    for (BenchmarkId id : all_benchmarks()) {
-      if (to_string(id) == bench) o.benches.push_back(id);
-    }
-    REDHIP_CHECK_MSG(!o.benches.empty(), "unknown benchmark: " + bench);
+    Result<BenchmarkId> id = parse_benchmark(bench);
+    REDHIP_CHECK_MSG(id.ok(), id.status().message());
+    o.benches.push_back(id.value());
   }
   return o;
 }

@@ -30,11 +30,11 @@ StreamKernel::StreamKernel(Region region, std::uint32_t streams,
   }
 }
 
-void StreamKernel::next(MemRef& out) {
+void StreamKernel::step(MemRef& out, Xoshiro256& rng) {
   const std::uint32_t s = turn_;
   out.addr = region_.base + slice_ * s + cursor_[s];
   out.pc = pc_base_ + s;
-  out.is_write = rng_.chance_ppm(write_ppm_);
+  out.is_write = rng.chance_ppm(write_ppm_);
   if (--repeat_left_ > 0) return;  // touch the same element again next call
   repeat_left_ = repeats_;
   turn_ = (turn_ + 1) % streams_;
@@ -87,6 +87,17 @@ void StencilKernel::next(MemRef& out) {
   }
 }
 
+void StencilKernel::skip(std::uint64_t n, Xoshiro256& gap_rng,
+                         std::uint64_t gap_bound) {
+  Xoshiro256 grng = gap_rng;
+  for (std::uint64_t i = 0; i < n; ++i) grng.below(gap_bound);
+  gap_rng = grng;
+  // No RNG, pure counters: the kernel's own fast-forward is one division.
+  const std::uint64_t idx = cell_ * 8 + point_ + n;
+  cell_ = idx / 8;
+  point_ = static_cast<std::uint32_t>(idx % 8);
+}
+
 // ------------------------------------------------------------- PointerChase
 
 PointerChaseKernel::PointerChaseKernel(Region region,
@@ -110,7 +121,7 @@ PointerChaseKernel::PointerChaseKernel(Region region,
   add_ = rng_.next() | 1;
 }
 
-void PointerChaseKernel::next(MemRef& out) {
+void PointerChaseKernel::step(MemRef& out, Xoshiro256& rng) {
   if (payload_left_ > 0) {
     // Node payload: element-granular sequential reads following the node
     // line (this is where mcf's limited spatial locality comes from).
@@ -119,7 +130,7 @@ void PointerChaseKernel::next(MemRef& out) {
     out.addr = region_.base +
                (payload_cursor_ % (lines_ * kDefaultLineBytes));
     out.pc = pc_base_ + 1;
-    out.is_write = rng_.chance_ppm(write_ppm_);
+    out.is_write = rng.chance_ppm(write_ppm_);
     return;
   }
   state_ = (mul_ * state_ + add_) & (lines_ - 1);
@@ -145,16 +156,16 @@ ZipfWalkKernel::ZipfWalkKernel(Region region, std::uint32_t zipf_k,
       pc_base_(pc_base),
       rng_(seed) {}
 
-void ZipfWalkKernel::next(MemRef& out) {
+void ZipfWalkKernel::step(MemRef& out, Xoshiro256& rng) {
   if (burst_left_ == 0) {
-    burst_cursor_ = sampler_.sample(rng_) * kDefaultLineBytes;
-    burst_left_ = static_cast<std::uint32_t>(rng_.burst(burst_mean_, 256));
+    burst_cursor_ = sampler_.sample(rng) * kDefaultLineBytes;
+    burst_left_ = static_cast<std::uint32_t>(rng.burst(burst_mean_, 256));
   }
   --burst_left_;
   out.addr = region_.base + (burst_cursor_ % region_.bytes);
   burst_cursor_ += 8;
   out.pc = pc_base_ + (burst_left_ == 0 ? 0 : 1);
-  out.is_write = rng_.chance_ppm(write_ppm_);
+  out.is_write = rng.chance_ppm(write_ppm_);
 }
 
 // ------------------------------------------------------------- SparseGather
@@ -180,7 +191,7 @@ SparseGatherKernel::SparseGatherKernel(
   REDHIP_CHECK(gather_elems >= 1 && gather_elems <= 16);
 }
 
-void SparseGatherKernel::next(MemRef& out) {
+void SparseGatherKernel::step(MemRef& out, Xoshiro256& rng) {
   const std::uint32_t gather_refs = gathers_per_index_ * gather_elems_;
   if (phase_ == 0) {
     out.addr = index_region_.at(index_cursor_);
@@ -191,7 +202,7 @@ void SparseGatherKernel::next(MemRef& out) {
     const std::uint32_t within = (phase_ - 1) % gather_elems_;
     if (within == 0) {
       const std::uint64_t line =
-          zipf_k_ > 0 ? zipf_.sample(rng_) : sampler_.sample(rng_);
+          zipf_k_ > 0 ? zipf_.sample(rng) : sampler_.sample(rng);
       gather_target_ = vector_region_.base + line * kDefaultLineBytes;
     }
     out.addr = gather_target_ + within * 8;
@@ -223,15 +234,15 @@ BfsKernel::BfsKernel(Region frontier_region, Region edge_region,
   REDHIP_CHECK(mean_degree >= 1);
 }
 
-void BfsKernel::next(MemRef& out) {
+void BfsKernel::step(MemRef& out, Xoshiro256& rng) {
   if (edges_left_ > 0 && visited_after_ == 0) {
     // Visited-map check: skewed random access, writes when the vertex is
     // newly discovered (~1/4 of checks).
     visited_after_ = 3;  // three edge reads per visited check (word-packed map)
     out.addr = visited_region_.base +
-               visited_sampler_.sample(rng_) * kDefaultLineBytes;
+               visited_sampler_.sample(rng) * kDefaultLineBytes;
     out.pc = pc_base_ + 2;
-    out.is_write = rng_.chance_ppm(250'000);
+    out.is_write = rng.chance_ppm(250'000);
     return;
   }
   if (edges_left_ > 0) {
@@ -249,8 +260,8 @@ void BfsKernel::next(MemRef& out) {
   frontier_cursor_ += 8;
   out.pc = pc_base_;
   out.is_write = false;
-  edges_left_ = static_cast<std::uint32_t>(rng_.burst(mean_degree_, 512));
-  edge_cursor_ = rng_.below(edge_region_.bytes / 8) * 8;
+  edges_left_ = static_cast<std::uint32_t>(rng.burst(mean_degree_, 512));
+  edge_cursor_ = rng.below(edge_region_.bytes / 8) * 8;
   visited_after_ = 3;
 }
 
@@ -271,11 +282,11 @@ SgdKernel::SgdKernel(Region user_region, Region item_region,
   item_row_ = item_region_.base;
 }
 
-void SgdKernel::next(MemRef& out) {
+void SgdKernel::step(MemRef& out, Xoshiro256& rng) {
   if (offset_ == 0 && phase_ == 0) {
     // New (user, item) sample: popularity-weighted row in each matrix.
-    user_row_ = user_region_.base + user_sampler_.sample(rng_) * row_bytes_;
-    item_row_ = item_region_.base + item_sampler_.sample(rng_) * row_bytes_;
+    user_row_ = user_region_.base + user_sampler_.sample(rng) * row_bytes_;
+    item_row_ = item_region_.base + item_sampler_.sample(rng) * row_bytes_;
   }
   switch (phase_) {
     case 0:
@@ -317,312 +328,54 @@ HotColdKernel::HotColdKernel(Region region, std::uint32_t hot_fraction_ppm,
       pc_base_(pc_base),
       rng_(seed) {}
 
-void HotColdKernel::next(MemRef& out) {
+void HotColdKernel::step(MemRef& out, Xoshiro256& rng) {
   if (burst_left_ == 0) {
     // Sample a line, then walk it (and its successors) element by element —
     // the burst models touching the fields of a small record.
-    burst_cursor_ = sampler_.sample(rng_) * kDefaultLineBytes;
-    burst_left_ = static_cast<std::uint32_t>(rng_.burst(burst_mean_, 256));
+    burst_cursor_ = sampler_.sample(rng) * kDefaultLineBytes;
+    burst_left_ = static_cast<std::uint32_t>(rng.burst(burst_mean_, 256));
   }
   --burst_left_;
   out.addr = region_.base + (burst_cursor_ % region_.bytes);
   burst_cursor_ += 8;
   out.pc = pc_base_ + (burst_left_ == 0 ? 0 : 1);
-  out.is_write = rng_.chance_ppm(write_ppm_);
+  out.is_write = rng.chance_ppm(write_ppm_);
 }
 
-// -------------------------------------------------------------- cheap skips
-// State-only advances for sampled fast-forward (sample_skip_to): each skip
-// mirrors its kernel's next() line for line — same state updates, same RNG
-// draws in the same order (chance_ppm always draws, and Lemire rejection
-// makes draw counts data-dependent, so draws can never be batched or
-// counted) — with only the MemRef stores dropped.  After skip(n) the kernel
-// emits exactly what it would have after n next() calls; the trace-level
-// oracle test (SamplingProperty.SkipMatchesGenerate) pins the equivalence
-// for every kernel, so a drift here is a test failure, not a silent bias.
-
-void StreamKernel::skip(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint32_t s = turn_;
-    rng_.chance_ppm(write_ppm_);
-    if (--repeat_left_ > 0) continue;
-    repeat_left_ = repeats_;
-    turn_ = (turn_ + 1) % streams_;
-    cursor_[s] += stride_;
-    if (cursor_[s] + stride_ > slice_) cursor_[s] = 0;
+// -------------------------------------------------------- next and skip
+// Each RNG-driven kernel has one state machine, step().  next() runs it on
+// rng_; skip() runs it into a discarded MemRef, so after skip(n) the kernel
+// emits exactly what it would have after n next() calls, by construction.
+// skip() also makes the caller's n gap draws.  The kernel RNG and the gap
+// RNG are independent streams, so one draw on each per reference leaves
+// both end states where the sequential order leaves them, while the two
+// serial xoshiro chains overlap in the pipeline.  Both generators are
+// copied into locals so their state stays in registers across the loop.
+// step() is declared always_inline so this does not rest on inlining
+// heuristics: a call left in the skip loop costs about a tenth of skip
+// throughput (DESIGN.md, "Functional warming contract").
+#define REDHIP_KERNEL_STEP_PATHS(K)                                       \
+  void K::next(MemRef& out) { step(out, rng_); }                          \
+  void K::skip(std::uint64_t n, Xoshiro256& gap_rng,                      \
+               std::uint64_t gap_bound) {                                 \
+    Xoshiro256 krng = rng_;                                               \
+    Xoshiro256 grng = gap_rng;                                            \
+    MemRef discard;                                                       \
+    for (std::uint64_t i = 0; i < n; ++i) {                               \
+      grng.below(gap_bound);                                              \
+      step(discard, krng);                                                \
+    }                                                                     \
+    rng_ = krng;                                                          \
+    gap_rng = grng;                                                       \
   }
-}
-
-void StencilKernel::skip(std::uint64_t n) {
-  // No RNG, pure counters: the whole fast-forward is one division.
-  const std::uint64_t idx = cell_ * 8 + point_ + n;
-  cell_ = idx / 8;
-  point_ = static_cast<std::uint32_t>(idx % 8);
-}
-
-void PointerChaseKernel::skip(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (payload_left_ > 0) {
-      --payload_left_;
-      payload_cursor_ += 8;
-      rng_.chance_ppm(write_ppm_);
-      continue;
-    }
-    state_ = (mul_ * state_ + add_) & (lines_ - 1);
-    if (payload_lines_ > 0) {
-      payload_left_ = payload_lines_ * (kDefaultLineBytes / 8);
-      payload_cursor_ = state_ * kDefaultLineBytes;
-    }
-  }
-}
-
-void ZipfWalkKernel::skip(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (burst_left_ == 0) {
-      burst_cursor_ = sampler_.sample(rng_) * kDefaultLineBytes;
-      burst_left_ = static_cast<std::uint32_t>(rng_.burst(burst_mean_, 256));
-    }
-    --burst_left_;
-    burst_cursor_ += 8;
-    rng_.chance_ppm(write_ppm_);
-  }
-}
-
-void SparseGatherKernel::skip(std::uint64_t n) {
-  const std::uint32_t gather_refs = gathers_per_index_ * gather_elems_;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (phase_ == 0) {
-      index_cursor_ += 8;
-    } else if (phase_ <= gather_refs) {
-      if ((phase_ - 1) % gather_elems_ == 0) {
-        const std::uint64_t line =
-            zipf_k_ > 0 ? zipf_.sample(rng_) : sampler_.sample(rng_);
-        gather_target_ = vector_region_.base + line * kDefaultLineBytes;
-      }
-    } else {
-      result_cursor_ += 8;
-    }
-    phase_ = (phase_ + 1) % (gather_refs + 2);
-  }
-}
-
-void BfsKernel::skip(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (edges_left_ > 0 && visited_after_ == 0) {
-      visited_after_ = 3;
-      visited_sampler_.sample(rng_);
-      rng_.chance_ppm(250'000);
-      continue;
-    }
-    if (edges_left_ > 0) {
-      --edges_left_;
-      --visited_after_;
-      edge_cursor_ += 8;
-      continue;
-    }
-    frontier_cursor_ += 8;
-    edges_left_ = static_cast<std::uint32_t>(rng_.burst(mean_degree_, 512));
-    edge_cursor_ = rng_.below(edge_region_.bytes / 8) * 8;
-    visited_after_ = 3;
-  }
-}
-
-void SgdKernel::skip(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (offset_ == 0 && phase_ == 0) {
-      user_row_ = user_region_.base + user_sampler_.sample(rng_) * row_bytes_;
-      item_row_ = item_region_.base + item_sampler_.sample(rng_) * row_bytes_;
-    }
-    offset_ += 8;
-    if (offset_ >= row_bytes_) {
-      offset_ = 0;
-      phase_ = (phase_ + 1) % 4;
-    }
-  }
-}
-
-void HotColdKernel::skip(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (burst_left_ == 0) {
-      burst_cursor_ = sampler_.sample(rng_) * kDefaultLineBytes;
-      burst_left_ = static_cast<std::uint32_t>(rng_.burst(burst_mean_, 256));
-    }
-    --burst_left_;
-    burst_cursor_ += 8;
-    rng_.chance_ppm(write_ppm_);
-  }
-}
-
-// --------------------------------------------------------------- fused skips
-// skip_with_gaps = skip(n) + n discarded scheduler-stream gap draws, with
-// the two loops fused so each reference issues one draw on each stream.
-// The streams are independent generators, so only per-stream draw order
-// matters — fusing changes neither stream's end state (the trace-level
-// oracle SamplingProperty.SkipMatchesGenerate pins this) but lets the two
-// serial xoshiro chains overlap in the pipeline, which is most of the skip
-// wall time in sampled runs.  Both generators are copied into locals so the
-// compiler keeps their state in registers across the loop.
-
-void StreamKernel::skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                                  std::uint64_t gap_bound) {
-  Xoshiro256 krng = rng_;
-  Xoshiro256 grng = gap_rng;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    grng.below(gap_bound);
-    const std::uint32_t s = turn_;
-    krng.chance_ppm(write_ppm_);
-    if (--repeat_left_ > 0) continue;
-    repeat_left_ = repeats_;
-    turn_ = (turn_ + 1) % streams_;
-    cursor_[s] += stride_;
-    if (cursor_[s] + stride_ > slice_) cursor_[s] = 0;
-  }
-  rng_ = krng;
-  gap_rng = grng;
-}
-
-void PointerChaseKernel::skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                                        std::uint64_t gap_bound) {
-  Xoshiro256 krng = rng_;
-  Xoshiro256 grng = gap_rng;
-  std::uint64_t state = state_;
-  std::uint32_t payload_left = payload_left_;
-  LineAddr payload_cursor = payload_cursor_;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    grng.below(gap_bound);
-    if (payload_left > 0) {
-      --payload_left;
-      payload_cursor += 8;
-      krng.chance_ppm(write_ppm_);
-      continue;
-    }
-    state = (mul_ * state + add_) & (lines_ - 1);
-    if (payload_lines_ > 0) {
-      payload_left = payload_lines_ * (kDefaultLineBytes / 8);
-      payload_cursor = state * kDefaultLineBytes;
-    }
-  }
-  state_ = state;
-  payload_left_ = payload_left;
-  payload_cursor_ = payload_cursor;
-  rng_ = krng;
-  gap_rng = grng;
-}
-
-void ZipfWalkKernel::skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                                    std::uint64_t gap_bound) {
-  Xoshiro256 krng = rng_;
-  Xoshiro256 grng = gap_rng;
-  std::uint32_t burst_left = burst_left_;
-  Addr burst_cursor = burst_cursor_;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    grng.below(gap_bound);
-    if (burst_left == 0) {
-      burst_cursor = sampler_.sample(krng) * kDefaultLineBytes;
-      burst_left = static_cast<std::uint32_t>(krng.burst(burst_mean_, 256));
-    }
-    --burst_left;
-    burst_cursor += 8;
-    krng.chance_ppm(write_ppm_);
-  }
-  burst_left_ = burst_left;
-  burst_cursor_ = burst_cursor;
-  rng_ = krng;
-  gap_rng = grng;
-}
-
-void SparseGatherKernel::skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                                        std::uint64_t gap_bound) {
-  Xoshiro256 krng = rng_;
-  Xoshiro256 grng = gap_rng;
-  const std::uint32_t gather_refs = gathers_per_index_ * gather_elems_;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    grng.below(gap_bound);
-    if (phase_ == 0) {
-      index_cursor_ += 8;
-    } else if (phase_ <= gather_refs) {
-      if ((phase_ - 1) % gather_elems_ == 0) {
-        const std::uint64_t line =
-            zipf_k_ > 0 ? zipf_.sample(krng) : sampler_.sample(krng);
-        gather_target_ = vector_region_.base + line * kDefaultLineBytes;
-      }
-    } else {
-      result_cursor_ += 8;
-    }
-    phase_ = (phase_ + 1) % (gather_refs + 2);
-  }
-  rng_ = krng;
-  gap_rng = grng;
-}
-
-void BfsKernel::skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                               std::uint64_t gap_bound) {
-  Xoshiro256 krng = rng_;
-  Xoshiro256 grng = gap_rng;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    grng.below(gap_bound);
-    if (edges_left_ > 0 && visited_after_ == 0) {
-      visited_after_ = 3;
-      visited_sampler_.sample(krng);
-      krng.chance_ppm(250'000);
-      continue;
-    }
-    if (edges_left_ > 0) {
-      --edges_left_;
-      --visited_after_;
-      edge_cursor_ += 8;
-      continue;
-    }
-    frontier_cursor_ += 8;
-    edges_left_ = static_cast<std::uint32_t>(krng.burst(mean_degree_, 512));
-    edge_cursor_ = krng.below(edge_region_.bytes / 8) * 8;
-    visited_after_ = 3;
-  }
-  rng_ = krng;
-  gap_rng = grng;
-}
-
-void SgdKernel::skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                               std::uint64_t gap_bound) {
-  Xoshiro256 krng = rng_;
-  Xoshiro256 grng = gap_rng;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    grng.below(gap_bound);
-    if (offset_ == 0 && phase_ == 0) {
-      user_row_ = user_region_.base + user_sampler_.sample(krng) * row_bytes_;
-      item_row_ = item_region_.base + item_sampler_.sample(krng) * row_bytes_;
-    }
-    offset_ += 8;
-    if (offset_ >= row_bytes_) {
-      offset_ = 0;
-      phase_ = (phase_ + 1) % 4;
-    }
-  }
-  rng_ = krng;
-  gap_rng = grng;
-}
-
-void HotColdKernel::skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                                   std::uint64_t gap_bound) {
-  Xoshiro256 krng = rng_;
-  Xoshiro256 grng = gap_rng;
-  std::uint32_t burst_left = burst_left_;
-  LineAddr burst_cursor = burst_cursor_;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    grng.below(gap_bound);
-    if (burst_left == 0) {
-      burst_cursor = sampler_.sample(krng) * kDefaultLineBytes;
-      burst_left = static_cast<std::uint32_t>(krng.burst(burst_mean_, 256));
-    }
-    --burst_left;
-    burst_cursor += 8;
-    krng.chance_ppm(write_ppm_);
-  }
-  burst_left_ = burst_left;
-  burst_cursor_ = burst_cursor;
-  rng_ = krng;
-  gap_rng = grng;
-}
+REDHIP_KERNEL_STEP_PATHS(StreamKernel)
+REDHIP_KERNEL_STEP_PATHS(PointerChaseKernel)
+REDHIP_KERNEL_STEP_PATHS(ZipfWalkKernel)
+REDHIP_KERNEL_STEP_PATHS(SparseGatherKernel)
+REDHIP_KERNEL_STEP_PATHS(BfsKernel)
+REDHIP_KERNEL_STEP_PATHS(SgdKernel)
+REDHIP_KERNEL_STEP_PATHS(HotColdKernel)
+#undef REDHIP_KERNEL_STEP_PATHS
 
 // --------------------------------------------------------------- batch loops
 // One monomorphic loop per kernel: the qualified call resolves statically

@@ -52,34 +52,16 @@ class Kernel {
   virtual void next_n(MemRef* out, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) next(out[i]);
   }
-  // Advance the kernel state machine past `n` references without delivering
-  // them — after skip(n) the kernel emits exactly what it would have emitted
-  // after n next() calls.  The default generates into scratch storage and
-  // discards; kernels whose per-reference work is dominated by address
-  // formatting can override with a cheaper state-only advance.
-  virtual void skip(std::uint64_t n) {
-    MemRef scratch[64];
-    while (n > 0) {
-      const std::size_t chunk =
-          static_cast<std::size_t>(n < 64 ? n : std::uint64_t{64});
-      next_n(scratch, chunk);
-      n -= chunk;
-    }
-  }
-  // Fused state-only advance for the sampled fast-forward: equivalent to
-  // skip(n) followed by n discarded `gap_rng.below(gap_bound)` draws.  The
-  // kernel's RNG and the caller's scheduler RNG are independent streams, so
-  // interleaving one gap draw with each reference's kernel work leaves both
-  // streams' end states exactly where the sequential order leaves them —
-  // while the two serial xoshiro dependency chains overlap in the pipeline
-  // instead of running back to back.  Kernels override with a fused loop
-  // (register-resident generator copies); the default keeps the sequential
-  // shape for kernels without one.
-  virtual void skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                              std::uint64_t gap_bound) {
-    skip(n);
-    for (std::uint64_t i = 0; i < n; ++i) gap_rng.below(gap_bound);
-  }
+  // Fast-forward for sampled runs: advance past `n` references without
+  // delivering them, and make the `n` gap draws `gap_rng.below(gap_bound)`
+  // the caller's scheduler would make alongside them.  Afterwards the kernel
+  // emits exactly what it would have after n next() calls, and gap_rng is
+  // where n draws leave it.  RNG-driven kernels derive this from the same
+  // step() their next() runs (kernels.cc), so there is no second copy of
+  // the reference stream to drift; the counter-only StencilKernel jumps in
+  // closed form.
+  virtual void skip(std::uint64_t n, Xoshiro256& gap_rng,
+                    std::uint64_t gap_bound) = 0;
   // Serialize / restore the kernel's mutable state (cursors, counters, RNG
   // stream) — construction parameters are not written; restore applies to
   // a kernel freshly built from the same recipe (guarded upstream by the
@@ -106,14 +88,15 @@ class StreamKernel final : public Kernel {
                std::uint64_t seed, std::uint32_t repeats = 1);
   void next(MemRef& out) override;
   void next_n(MemRef* out, std::size_t n) override;
-  void skip(std::uint64_t n) override;
-  void skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                      std::uint64_t gap_bound) override;
+  void skip(std::uint64_t n, Xoshiro256& gap_rng,
+            std::uint64_t gap_bound) override;
   void ckpt_save(ByteWriter& w) const override;
   bool ckpt_load(ByteReader& r) override;
   const char* name() const override { return "stream"; }
 
  private:
+  [[gnu::always_inline]] inline void step(MemRef& out, Xoshiro256& rng);
+
   Region region_;
   std::uint32_t streams_;
   std::uint32_t stride_;
@@ -139,7 +122,8 @@ class StencilKernel final : public Kernel {
                 std::uint64_t nz, std::uint32_t pc_base);
   void next(MemRef& out) override;
   void next_n(MemRef* out, std::size_t n) override;
-  void skip(std::uint64_t n) override;
+  void skip(std::uint64_t n, Xoshiro256& gap_rng,
+            std::uint64_t gap_bound) override;
   void ckpt_save(ByteWriter& w) const override;
   bool ckpt_load(ByteReader& r) override;
   const char* name() const override { return "stencil"; }
@@ -164,14 +148,15 @@ class PointerChaseKernel final : public Kernel {
                      std::uint64_t seed);
   void next(MemRef& out) override;
   void next_n(MemRef* out, std::size_t n) override;
-  void skip(std::uint64_t n) override;
-  void skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                      std::uint64_t gap_bound) override;
+  void skip(std::uint64_t n, Xoshiro256& gap_rng,
+            std::uint64_t gap_bound) override;
   void ckpt_save(ByteWriter& w) const override;
   bool ckpt_load(ByteReader& r) override;
   const char* name() const override { return "chase"; }
 
  private:
+  [[gnu::always_inline]] inline void step(MemRef& out, Xoshiro256& rng);
+
   Region region_;
   std::uint64_t lines_;       // power of two
   std::uint64_t state_;
@@ -195,14 +180,15 @@ class ZipfWalkKernel final : public Kernel {
                  std::uint64_t seed);
   void next(MemRef& out) override;
   void next_n(MemRef* out, std::size_t n) override;
-  void skip(std::uint64_t n) override;
-  void skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                      std::uint64_t gap_bound) override;
+  void skip(std::uint64_t n, Xoshiro256& gap_rng,
+            std::uint64_t gap_bound) override;
   void ckpt_save(ByteWriter& w) const override;
   bool ckpt_load(ByteReader& r) override;
   const char* name() const override { return "zipf"; }
 
  private:
+  [[gnu::always_inline]] inline void step(MemRef& out, Xoshiro256& rng);
+
   Region region_;
   ZipfSampler sampler_;
   std::uint32_t burst_mean_;
@@ -233,14 +219,15 @@ class SparseGatherKernel final : public Kernel {
                      std::uint32_t gather_elems = 1);
   void next(MemRef& out) override;
   void next_n(MemRef* out, std::size_t n) override;
-  void skip(std::uint64_t n) override;
-  void skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                      std::uint64_t gap_bound) override;
+  void skip(std::uint64_t n, Xoshiro256& gap_rng,
+            std::uint64_t gap_bound) override;
   void ckpt_save(ByteWriter& w) const override;
   bool ckpt_load(ByteReader& r) override;
   const char* name() const override { return "sparse"; }
 
  private:
+  [[gnu::always_inline]] inline void step(MemRef& out, Xoshiro256& rng);
+
   Region index_region_, vector_region_, result_region_;
   std::uint32_t gathers_per_index_;
   std::uint32_t gather_elems_;
@@ -269,14 +256,15 @@ class BfsKernel final : public Kernel {
             std::uint32_t pc_base, std::uint64_t seed);
   void next(MemRef& out) override;
   void next_n(MemRef* out, std::size_t n) override;
-  void skip(std::uint64_t n) override;
-  void skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                      std::uint64_t gap_bound) override;
+  void skip(std::uint64_t n, Xoshiro256& gap_rng,
+            std::uint64_t gap_bound) override;
   void ckpt_save(ByteWriter& w) const override;
   bool ckpt_load(ByteReader& r) override;
   const char* name() const override { return "bfs"; }
 
  private:
+  [[gnu::always_inline]] inline void step(MemRef& out, Xoshiro256& rng);
+
   Region frontier_region_, edge_region_, visited_region_;
   std::uint32_t mean_degree_;
   std::uint32_t pc_base_;
@@ -301,14 +289,15 @@ class SgdKernel final : public Kernel {
             std::uint32_t zipf_k = 1);
   void next(MemRef& out) override;
   void next_n(MemRef* out, std::size_t n) override;
-  void skip(std::uint64_t n) override;
-  void skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                      std::uint64_t gap_bound) override;
+  void skip(std::uint64_t n, Xoshiro256& gap_rng,
+            std::uint64_t gap_bound) override;
   void ckpt_save(ByteWriter& w) const override;
   bool ckpt_load(ByteReader& r) override;
   const char* name() const override { return "sgd"; }
 
  private:
+  [[gnu::always_inline]] inline void step(MemRef& out, Xoshiro256& rng);
+
   Region user_region_, item_region_;
   std::uint32_t row_bytes_;
   std::uint32_t pc_base_;
@@ -331,14 +320,15 @@ class HotColdKernel final : public Kernel {
                 std::uint64_t seed);
   void next(MemRef& out) override;
   void next_n(MemRef* out, std::size_t n) override;
-  void skip(std::uint64_t n) override;
-  void skip_with_gaps(std::uint64_t n, Xoshiro256& gap_rng,
-                      std::uint64_t gap_bound) override;
+  void skip(std::uint64_t n, Xoshiro256& gap_rng,
+            std::uint64_t gap_bound) override;
   void ckpt_save(ByteWriter& w) const override;
   bool ckpt_load(ByteReader& r) override;
   const char* name() const override { return "hotcold"; }
 
  private:
+  [[gnu::always_inline]] inline void step(MemRef& out, Xoshiro256& rng);
+
   Region region_;
   HotColdSampler sampler_;
   std::uint32_t burst_mean_;

@@ -260,6 +260,18 @@ std::string to_string(BenchmarkId id) {
   return "unknown";
 }
 
+Result<BenchmarkId> parse_benchmark(std::string_view name) {
+  std::string valid;
+  for (BenchmarkId id : all_benchmarks()) {
+    if (to_string(id) == name) return id;
+    if (!valid.empty()) valid += ", ";
+    valid += to_string(id);
+  }
+  return Status(StatusCode::kInvalidArgument,
+                "unknown benchmark '" + std::string(name) +
+                    "' (expected one of " + valid + ")");
+}
+
 const std::vector<BenchmarkId>& all_benchmarks() {
   // The paper's figure order: bwaves GemsFDTD lbm mcf milc soplex astar
   // cactusADM mix pmf blas.
@@ -316,6 +328,7 @@ SyntheticTrace::SyntheticTrace(std::vector<Component> components,
                                std::uint32_t gap_mean, std::uint64_t seed)
     : components_(std::move(components)), gap_mean_(gap_mean), rng_(seed) {
   REDHIP_CHECK(!components_.empty());
+  REDHIP_CHECK_MSG(gap_mean_ >= 1, "gap_mean must be at least 1");
   std::uint64_t total = 0;
   for (const auto& c : components_) total += c.weight_ppm;
   REDHIP_CHECK_MSG(total == 1'000'000, "component weights must sum to 1M ppm");
@@ -335,16 +348,7 @@ void SyntheticTrace::reschedule() {
   burst_left_ = rng_.burst(components_[active_].burst_mean, 1 << 16);
 }
 
-bool SyntheticTrace::next(MemRef& out) {
-  if (burst_left_ == 0) reschedule();
-  --burst_left_;
-  components_[active_].kernel->next(out);
-  out.gap = gap_mean_ == 0
-                ? 0
-                : static_cast<std::uint16_t>(rng_.range(
-                      gap_mean_ - gap_mean_ / 2, gap_mean_ + gap_mean_ / 2));
-  return true;
-}
+bool SyntheticTrace::next(MemRef& out) { return next_batch(&out, 1) == 1; }
 
 std::size_t SyntheticTrace::next_batch(MemRef* out, std::size_t n) {
   const std::uint32_t gap_lo = gap_mean_ - gap_mean_ / 2;
@@ -358,17 +362,12 @@ std::size_t SyntheticTrace::next_batch(MemRef* out, std::size_t n) {
     burst_left_ -= chunk;
     // Kernel draws and gap draws come from different RNGs (the kernel's own
     // stream vs the trace's), so hoisting the whole chunk's kernel calls
-    // ahead of its gap fills keeps both streams' internal order — and the
-    // emitted references — identical to the scalar path, while paying one
-    // virtual dispatch per chunk instead of one per reference.
+    // ahead of its gap fills keeps both streams' internal order, while
+    // paying one virtual dispatch per chunk instead of one per reference.
     components_[active_].kernel->next_n(out + filled, chunk);
-    if (gap_mean_ == 0) {
-      for (std::size_t i = 0; i < chunk; ++i) out[filled + i].gap = 0;
-    } else {
-      for (std::size_t i = 0; i < chunk; ++i) {
-        out[filled + i].gap =
-            static_cast<std::uint16_t>(rng_.range(gap_lo, gap_hi));
-      }
+    for (std::size_t i = 0; i < chunk; ++i) {
+      out[filled + i].gap =
+          static_cast<std::uint16_t>(rng_.range(gap_lo, gap_hi));
     }
     filled += chunk;
   }
@@ -386,15 +385,7 @@ void SyntheticTrace::skip(std::uint64_t n) {
     if (burst_left_ == 0) reschedule();
     const std::uint64_t chunk = std::min<std::uint64_t>(burst_left_, n);
     burst_left_ -= chunk;
-    // Kernel draws and gap draws come from different RNGs (the kernel's own
-    // stream vs the trace's), so the fused loop may interleave them freely:
-    // each stream still sees exactly the draws next_batch makes, in the
-    // same per-stream order, while the two serial generator chains overlap.
-    if (gap_mean_ != 0) {
-      components_[active_].kernel->skip_with_gaps(chunk, rng_, gap_bound);
-    } else {
-      components_[active_].kernel->skip(chunk);
-    }
+    components_[active_].kernel->skip(chunk, rng_, gap_bound);
     n -= chunk;
   }
 }

@@ -14,8 +14,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "trace/kernels.h"
 #include "trace/mem_ref.h"
 
@@ -36,6 +38,9 @@ enum class BenchmarkId : std::uint8_t {
 };
 
 std::string to_string(BenchmarkId id);
+// The workload that to_string spells `name` (case-sensitive);
+// INVALID_ARGUMENT naming the value and the valid names otherwise.
+Result<BenchmarkId> parse_benchmark(std::string_view name);
 // All 11 workloads in the paper's figure order.
 const std::vector<BenchmarkId>& all_benchmarks();
 // The 8 SPEC workloads (used to build kMix).
@@ -60,23 +65,24 @@ class SyntheticTrace final : public TraceSource {
     std::uint32_t burst_mean;
   };
 
+  // `gap_mean` >= 1 (traits_of never returns 0).
   SyntheticTrace(std::vector<Component> components, std::uint32_t gap_mean,
                  std::uint64_t seed);
 
+  // A one-reference next_batch.
   bool next(MemRef& out) override;
 
   // Block-filling fast path: emits whole burst chunks per active kernel so
   // the kernel pointer and gap parameters stay hot across the inner loop.
-  // Draws the RNG in exactly the order next() does (one reschedule draw at
-  // each burst boundary, one gap draw per reference), so the produced
-  // sequence is bit-identical to repeated next() calls.
+  // Draws one reschedule at each burst boundary and one gap per reference,
+  // so any split of the same references into batches emits the same bytes.
   std::size_t next_batch(MemRef* out, std::size_t n) override;
 
   // Fast-forward past `n` references without materializing them.  Consumes
-  // both RNG streams (scheduler and kernels) in exactly the order next()
-  // would, so the references emitted afterwards are bit-identical to having
-  // generated and discarded n references.  The backbone of sampled runs'
-  // inter-window gaps.
+  // both RNG streams (scheduler and kernels) in exactly the order
+  // next_batch would, so the references emitted afterwards are
+  // bit-identical to having generated and discarded n references.  The
+  // backbone of sampled runs' inter-window gaps.
   void skip(std::uint64_t n) override;
 
   // Complete generator state (scheduler RNG + burst position + every

@@ -130,6 +130,22 @@ TEST(CliParse, IntegerOverflowIsAnErrorNotSilentClamp) {
   EXPECT_NE(r.status().message().find("out of range"), std::string::npos);
 }
 
+TEST(CliParse, Uint32RejectsWhatDoesNotFit) {
+  EXPECT_EQ(make_cli({"--scale=4294967295"}).get_uint32("scale", 8),
+            4294967295u);
+  EXPECT_EQ(make_cli({}).get_uint32("scale", 8), 8u);
+  // 2^32 + 8 once truncated to scale 8.
+  for (const char* bad : {"--scale=4294967304", "--scale=-1"}) {
+    try {
+      make_cli({bad}).get_uint32("scale", 8);
+      ADD_FAILURE() << "should have thrown: " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CliParse, DoubleRejectsGarbageAndAcceptsScientific) {
   EXPECT_DOUBLE_EQ(make_cli({"--rate=2.5e3"}).get_double("rate", 0), 2500.0);
   for (const char* bad : {"--rate=fast", "--rate=1.5x", "--rate= 1.5"}) {

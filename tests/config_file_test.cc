@@ -143,6 +143,44 @@ TEST(ConfigFile, BadNumericValuesNameTheLineAndKey) {
   }
 }
 
+TEST(ConfigFile, RejectsValuesThatDoNotFitTheirField) {
+  // Each case: config text, the line and key its diagnostic must name.
+  // 2^32 + 2 once loaded as a 2-core machine; 16 * 2^30 = 2^34 and 2^34 G
+  // = 2^64 overflow the multiply; a sign once wrapped to 2^64 - 1.
+  const struct {
+    const char* text;
+    const char* line;
+    const char* key;
+  } cases[] = {
+      {"cores = 4294967298\n[level]\nsize=8K\n", "line 1", "key 'cores'"},
+      {"[level]\nsize = 8K\nways = 4294967296\n", "line 3", "key 'ways'"},
+      {"[level]\nsize = 8K\nbanks = 16G\n", "line 3", "key 'banks'"},
+      {"[level]\nsize = 17179869184G\n", "line 2", "key 'size'"},
+      {"seed = 18446744073709551616\n[level]\nsize=8K\n", "line 1",
+       "key 'seed'"},
+      {"[level]\nsize=8K\n[fault]\nrate_per_mref = 4G\n", "line 4",
+       "key 'rate_per_mref'"},
+      {"cores = -1\n[level]\nsize=8K\n", "line 1", "key 'cores'"},
+  };
+  for (const auto& tc : cases) {
+    try {
+      parse_config_text(tc.text);
+      ADD_FAILURE() << "should have thrown: " << tc.text;
+    } catch (const std::logic_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(tc.line), std::string::npos) << msg;
+      EXPECT_NE(msg.find(tc.key), std::string::npos) << msg;
+    }
+  }
+  // The largest value each field holds still loads.
+  const HierarchyConfig c = parse_config_text(
+      "seed = 18446744073709551615\n[level]\nsize = 8K\nways = 2\n"
+      "[level]\nsize = 64K\nways = 4\n"
+      "[fault]\nrate_per_mref = 4294967295\n");
+  EXPECT_EQ(c.seed, 18446744073709551615ull);
+  EXPECT_EQ(c.fault.rate_per_mref, 4294967295u);
+}
+
 TEST(ConfigFile, ParsesFaultAndAuditSections) {
   const HierarchyConfig c = parse_config_text(R"(
 scheme = redhip

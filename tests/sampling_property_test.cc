@@ -17,13 +17,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/bytestream.h"
 #include "common/rng.h"
 #include "harness/run.h"
 #include "sim/sampling.h"
+#include "trace/kernels.h"
 #include "trace/workloads.h"
 
 namespace redhip {
@@ -243,10 +247,11 @@ TEST(SamplingProperty, EstimatorArithmetic) {
 }
 
 // The fast-forward contract: trace->skip(n) leaves the generator in
-// exactly the state n generated-and-discarded references would.  Every
-// kernel's cheap state-only skip (kernels.cc) and the workload scheduler's
-// own skip are pinned here — any drift between a skip body and its next()
-// twin shifts the post-gap stream and fails on the first reference.
+// exactly the state n generated-and-discarded references would.  The
+// RNG-driven kernels' skip is derived from the same step() their next()
+// runs (kernels.cc), so there is no hand-copied twin to drift; what this
+// pins is the scheduler's skip (burst chunking, the gap-draw replay) and
+// the stencil's closed-form counter jump, on every workload profile.
 // Odd skip lengths deliberately land mid-burst, mid-gather-group and
 // mid-row so the resumed state is interior, not a clean boundary.
 TEST(SamplingProperty, SkipMatchesGenerate) {
@@ -270,6 +275,74 @@ TEST(SamplingProperty, SkipMatchesGenerate) {
       for (std::size_t i = 0; i < buf.size(); ++i) {
         ASSERT_EQ(buf[i], want[i])
             << to_string(bench) << " skip " << gap << " ref " << i;
+      }
+    }
+  }
+}
+
+// Kernel-level skip contract for constructor variants no make_workload
+// profile builds, so SkipMatchesGenerate cannot reach them: after
+// skip(n, gap_rng, bound), the kernel, its checkpointed state and the gap
+// stream must match n x (next + one gap draw).  Each pair first runs an
+// odd number of references so the skip starts mid-pattern (for the
+// stencil, at an odd point inside a cell).
+TEST(SamplingProperty, KernelSkipMatchesGenerateOnUnprofiledVariants) {
+  const Region r{0x100000, 256_KiB};
+  const struct {
+    const char* name;
+    std::function<std::unique_ptr<Kernel>()> make;
+  } variants[] = {
+      {"chase payload_lines=0",
+       [&] {
+         return std::make_unique<PointerChaseKernel>(r, /*payload_lines=*/0,
+                                                     200'000, 0x300, 5);
+       }},
+      {"sparse zipf_k=0 gather_elems=3",
+       [] {
+         return std::make_unique<SparseGatherKernel>(
+             Region{0x100000, 64_KiB}, Region{0x200000, 1_MiB},
+             Region{0x400000, 64_KiB}, /*gathers_per_index=*/4, 100'000,
+             800'000, 0x400, 11, /*zipf_k=*/0, /*gather_elems=*/3);
+       }},
+      {"stream repeats=3",
+       [&] {
+         return std::make_unique<StreamKernel>(r, 3, 8, 300'000, 0x100, 7,
+                                               /*repeats=*/3);
+       }},
+      {"stencil",
+       [&] { return std::make_unique<StencilKernel>(r, 16, 8, 4, 0x200); }},
+  };
+  for (const auto& v : variants) {
+    for (int lead : {1, 3, 5}) {
+      for (std::uint64_t n : {0, 1, 7, 333, 4097}) {
+        for (std::uint64_t bound : {1, 3, 7}) {
+          SCOPED_TRACE(std::string(v.name) + " lead " + std::to_string(lead) +
+                       " skip " + std::to_string(n) + " bound " +
+                       std::to_string(bound));
+          auto skipped = v.make();
+          auto generated = v.make();
+          MemRef got, want;
+          for (int i = 0; i < lead; ++i) {
+            skipped->next(got);
+            generated->next(want);
+          }
+          Xoshiro256 skip_gaps(99), gen_gaps(99);
+          skipped->skip(n, skip_gaps, bound);
+          for (std::uint64_t i = 0; i < n; ++i) {
+            generated->next(want);
+            gen_gaps.below(bound);
+          }
+          ByteWriter skip_state, gen_state;
+          skipped->ckpt_save(skip_state);
+          generated->ckpt_save(gen_state);
+          ASSERT_EQ(skip_state.buffer(), gen_state.buffer());
+          ASSERT_EQ(skip_gaps.next(), gen_gaps.next());
+          for (int i = 0; i < 64; ++i) {
+            skipped->next(got);
+            generated->next(want);
+            ASSERT_EQ(got, want) << "ref " << i << " after the skip";
+          }
+        }
       }
     }
   }

@@ -305,6 +305,19 @@ TEST(Workloads, AllBenchmarksListedOnce) {
   EXPECT_EQ(names.size(), 11u);
 }
 
+TEST(Workloads, ParseBenchmarkRoundTripsEveryName) {
+  for (BenchmarkId id : all_benchmarks()) {
+    Result<BenchmarkId> parsed = parse_benchmark(to_string(id));
+    ASSERT_TRUE(parsed.ok()) << to_string(id);
+    EXPECT_EQ(parsed.value(), id);
+  }
+  const Result<BenchmarkId> bad = parse_benchmark("MCF");
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("'MCF'"), std::string::npos)
+      << bad.status().message();
+  EXPECT_FALSE(parse_benchmark("").ok());
+}
+
 // ----------------------------------------------------------------- trace IO
 
 TEST(TraceIo, RoundTripsRecords) {
